@@ -50,6 +50,8 @@ from .metalearner import (
     generate_weights_batch,
     init_params,
     load_params,
+    personal_scores,
+    personal_scores_backward,
     save_params,
 )
 from .metrics import (
@@ -89,7 +91,8 @@ __all__ = [
     "cs_curve", "eps_error", "eval_result", "evaluate", "expected_ages",
     "generate_class_weight", "generate_weights", "generate_weights_batch",
     "grad_check", "hinge", "init_affine", "init_params", "lambda_delta_sweep",
-    "load_model", "load_params", "mae", "ord_loss", "predict", "read_features",
+    "load_model", "load_params", "mae", "ord_loss", "personal_scores",
+    "personal_scores_backward", "predict", "read_features",
     "retrieve", "save_model", "save_params", "slice_agreement", "split",
     "subset", "synth_generate", "total_loss", "train", "train_baseline_concat",
     "weight_embedding", "write_features",

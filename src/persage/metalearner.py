@@ -13,11 +13,24 @@ would be canceled by the batch-norm mean subtraction; the output bias would
 add the same constant to every class's weight row, which the directly-trained
 common table already expresses, and which scores, losses, and weight-space
 distances are all invariant to. Both stay frozen at zero (their checkpoint
-blocks are written as zeros).
+blocks are written as zeros) and no backward pass computes their gradients.
+
+The network is evaluated factored, never on stacked [h | w_common[i] | e_i]
+rows. Splitting the hidden weight into its column blocks [W_id | W_w | W_oh]
+makes the pre-activation of (person b, class i) the sum of a per-person term
+(h W_id^T)[b] and a per-class table (w_common W_w^T + W_oh^T)[i]; batch norm
+and ReLU then run on the B*K summed rows. Scores need no weight matrix either:
+with hid[b, i] the hidden row and g_b the age features,
+score[b, i] = g_b . w_common[i] + hid[b, i] . (g_b W_out). Training and
+evaluation go through ``personal_scores``, so they never build the (B, K, D)
+personalized weights; ``generate_weights_batch`` builds them only for callers
+that want the matrices themselves. ``generate_class_weight`` keeps the
+explicit one-row form.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -26,7 +39,6 @@ import numpy as np
 from .mathcore import (
     AffineLayer,
     BatchNormLayer,
-    affine_backward,
     affine_forward,
     batchnorm_backward,
     batchnorm_forward,
@@ -128,36 +140,7 @@ def build_residual_input(id_feat, w_common_row, i, k):
     return np.concatenate([id_feat, w_common_row, one_hot(i, k)])
 
 
-def _conditioning_matrix(params, id_feats):
-    """(B, F) identity features -> (B*K, F+D+K) stacked conditioning rows.
-
-    Row b*K + i conditions sample b on class i: its common row and one-hot.
-    """
-    d = params.dims
-    b = id_feats.shape[0]
-    x = np.empty((b * d.n_classes, d.residual_in))
-    x[:, :d.id_dim] = np.repeat(id_feats, d.n_classes, axis=0)
-    x[:, d.id_dim:d.id_dim + d.age_dim] = np.tile(params.w_common, (b, 1))
-    x[:, d.id_dim + d.age_dim:] = np.tile(np.eye(d.n_classes), (b, 1))
-    return x
-
-
-def _residual_forward(params, x, mode):
-    """Forward the conditioning rows; returns (residuals, cache for backward)."""
-    pre = affine_forward(x, params.hidden)
-    normed, bn_cache = batchnorm_forward(pre, params.bn, mode=mode)
-    hidden = relu_forward(normed)
-    res = affine_forward(hidden, params.output)
-    return res, (x, normed, bn_cache, hidden)
-
-
-def generate_weights_batch(params, id_feats, mode):
-    """Personalized weight matrices for a batch: (B, F) -> (B, K, D).
-
-    In train mode all B*K conditioning rows form one batch-norm batch; eval
-    mode uses running statistics, so results are independent of batch makeup.
-    Returns (weights, cache); pass the cache to generate_weights_backward.
-    """
+def _check_ids(params, id_feats):
     d = params.dims
     id_feats = np.asarray(id_feats, dtype=np.float64)
     if id_feats.ndim != 2 or id_feats.shape[1] != d.id_dim:
@@ -165,8 +148,61 @@ def generate_weights_batch(params, id_feats, mode):
                          f"got {id_feats.shape}")
     if id_feats.shape[0] < 1:
         raise ValueError("need at least one sample")
-    x = _conditioning_matrix(params, id_feats)
-    res, cache = _residual_forward(params, x, mode)
+    return id_feats
+
+
+def _hidden_forward(params, id_feats, mode):
+    """(B, F) identity features -> (B*K, H) post-ReLU hidden rows, and a cache.
+
+    Row b*K + i is the hidden layer's output for sample b conditioned on class
+    i. Its pre-activation, hidden.weight @ [h_b | w_common[i] | e_i] + bias,
+    is the per-person term (h W_id^T)[b] plus the per-class table
+    (w_common W_w^T + W_oh^T + bias)[i], so no conditioning row is built.
+    """
+    d = params.dims
+    f, dd = d.id_dim, d.age_dim
+    w = params.hidden.weight
+    person = id_feats @ w[:, :f].T                                      # (B, H)
+    table = params.w_common @ w[:, f:f + dd].T + w[:, f + dd:].T + params.hidden.bias
+    pre = (person[:, None, :] + table[None, :, :]).reshape(-1, d.hidden_dim)
+    normed, bn_cache = batchnorm_forward(pre, params.bn, mode=mode)
+    hidden = relu_forward(normed)
+    return hidden, (id_feats, normed, bn_cache, hidden)
+
+
+def _hidden_backward(params, grad_hidden, cache):
+    """Accumulate hidden-layer, batch-norm and common-table gradients.
+
+    The pre-activation gradient sums over classes for W_id and over the batch
+    for W_w, W_oh and the common table's copy inside the conditioning.
+    """
+    d = params.dims
+    f, dd = d.id_dim, d.age_dim
+    id_feats, normed, bn_cache, _ = cache
+    g = relu_backward(grad_hidden, normed)
+    g = batchnorm_backward(g, bn_cache, params.bn)
+    g = g.reshape(id_feats.shape[0], d.n_classes, d.hidden_dim)
+    grad_person = g.sum(axis=1)                                         # (B, H)
+    grad_table = g.sum(axis=0)                                          # (K, H)
+    grad_w = params.hidden.grad_weight
+    grad_w[:, :f] += grad_person.T @ id_feats
+    grad_w[:, f:f + dd] += grad_table.T @ params.w_common
+    grad_w[:, f + dd:] += grad_table.T
+    params.grad_w_common += grad_table @ params.hidden.weight[:, f:f + dd]
+
+
+def generate_weights_batch(params, id_feats, mode):
+    """Personalized weight matrices for a batch: (B, F) -> (B, K, D).
+
+    In train mode all B*K class rows form one batch-norm batch; eval mode uses
+    running statistics, so results are independent of batch makeup. Returns
+    (weights, cache); pass the cache to generate_weights_backward. Training
+    scores through personal_scores instead, which never builds the weights.
+    """
+    d = params.dims
+    id_feats = _check_ids(params, id_feats)
+    hidden, cache = _hidden_forward(params, id_feats, mode)
+    res = affine_forward(hidden, params.output)
     weights = params.w_common[None, :, :] + res.reshape(
         id_feats.shape[0], d.n_classes, d.age_dim)
     return weights, cache
@@ -176,25 +212,62 @@ def generate_weights_backward(params, grad_weights, cache):
     """Accumulate parameter gradients from d(loss)/d(personalized weights).
 
     grad_weights: (B, K, D). The common table receives gradient through two
-    paths: the additive skip connection and its copy inside the conditioning
-    rows. Returns nothing; gradients land in the layers' buffers.
+    paths: the additive skip connection and its copy inside the conditioning.
+    The frozen biases get none. Returns nothing; gradients land in the
+    parameters' buffers.
     """
     d = params.dims
-    x, normed, bn_cache, hidden = cache
     b = grad_weights.shape[0]
     if grad_weights.shape != (b, d.n_classes, d.age_dim):
         raise ValueError(f"grad_weights shape {grad_weights.shape} unexpected")
-    # skip-connection path
     params.grad_w_common += grad_weights.sum(axis=0)
-    # residual-network path
     grad_res = grad_weights.reshape(b * d.n_classes, d.age_dim)
-    g = affine_backward(grad_res, hidden, params.output)
-    g = relu_backward(g, normed)
-    g = batchnorm_backward(g, bn_cache, params.bn)
-    grad_x = affine_backward(g, x, params.hidden)
-    # conditioning rows carry w_common too: slice their gradient back out
-    grad_rows = grad_x[:, d.id_dim:d.id_dim + d.age_dim]
-    params.grad_w_common += grad_rows.reshape(b, d.n_classes, d.age_dim).sum(axis=0)
+    params.output.grad_weight += grad_res.T @ cache[3]
+    _hidden_backward(params, grad_res @ params.output.weight, cache)
+
+
+def personal_scores(params, id_feats, age_feats, mode):
+    """Class scores (B, K) of each sample under its own generated weights.
+
+    Equals class_scores_batch(generate_weights_batch(...)) without building
+    the (B, K, D) weights: scores = g w_common^T + hid[b] (g W_out)[b]^T. The
+    frozen output bias is left out; it would add g . b_out to every class
+    score of a sample, which softmax and the ordinal gaps ignore. Returns
+    (scores, cache) for personal_scores_backward.
+    """
+    d = params.dims
+    id_feats = _check_ids(params, id_feats)
+    age_feats = np.asarray(age_feats, dtype=np.float64)
+    if age_feats.shape != (id_feats.shape[0], d.age_dim):
+        raise ValueError(f"age features must be ({id_feats.shape[0]}, "
+                         f"{d.age_dim}), got {age_feats.shape}")
+    hidden, cache = _hidden_forward(params, id_feats, mode)
+    hidden = hidden.reshape(-1, d.n_classes, d.hidden_dim)
+    proj = age_feats @ params.output.weight                             # (B, H)
+    scores = (age_feats @ params.w_common.T
+              + np.matmul(hidden, proj[:, :, None])[:, :, 0])
+    return scores, (age_feats, proj, cache)
+
+
+def personal_scores_backward(params, grad_scores, cache):
+    """Accumulate parameter gradients from d(loss)/d(scores); return d/d(age).
+
+    The frozen biases get none.
+    """
+    d = params.dims
+    age_feats, proj, hcache = cache
+    b = age_feats.shape[0]
+    grad_scores = np.asarray(grad_scores, dtype=np.float64)
+    if grad_scores.shape != (b, d.n_classes):
+        raise ValueError(f"grad_scores shape {grad_scores.shape}, "
+                         f"expected ({b}, {d.n_classes})")
+    hidden = hcache[3].reshape(b, d.n_classes, d.hidden_dim)
+    mixed = np.matmul(grad_scores[:, None, :], hidden)[:, 0, :]         # (B, H)
+    params.grad_w_common += grad_scores.T @ age_feats
+    params.output.grad_weight += age_feats.T @ mixed
+    grad_hidden = grad_scores[:, :, None] * proj[:, None, :]
+    _hidden_backward(params, grad_hidden.reshape(-1, d.hidden_dim), hcache)
+    return grad_scores @ params.w_common + mixed @ params.output.weight.T
 
 
 def generate_weights(params, id_feat, mode="eval"):
@@ -207,12 +280,13 @@ def generate_weights(params, id_feat, mode="eval"):
 
 
 def generate_class_weight(params, id_feat, i, mode="eval"):
-    """Single personalized row: common row i plus the network's correction."""
+    """Single personalized row, from the explicit [h | common row | one-hot] input."""
     d = params.dims
     x = build_residual_input(np.asarray(id_feat, dtype=np.float64),
                              params.w_common[int(i)], i, d.n_classes)
-    res, _ = _residual_forward(params, x[None, :], mode)
-    return params.w_common[int(i)] + res[0]
+    pre = affine_forward(x[None, :], params.hidden)
+    hidden = relu_forward(batchnorm_forward(pre, params.bn, mode=mode)[0])
+    return params.w_common[int(i)] + affine_forward(hidden, params.output)[0]
 
 
 # ------------------------------------------------------------- checkpoint io
@@ -244,6 +318,26 @@ def _read_exact(fh, n, offset, what):
     return data
 
 
+def _generator_floats(dims):
+    """float64 count of the generator's nine checkpoint blocks."""
+    k, dd, hh = dims.n_classes, dims.age_dim, dims.hidden_dim
+    return k * dd + hh * dims.residual_in + 5 * hh + dd * hh + dd
+
+
+def _check_payload(fh, offset, payload):
+    """Refuse a file shorter than its header declares, before reading a block.
+
+    ``payload`` is computed from the header dims in Python ints, so a forged
+    header can neither overflow it nor make a reader allocate it.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    if size < offset + payload:
+        raise CheckpointError(
+            f"truncated checkpoint at byte offset {size}: the header declares "
+            f"{payload} payload bytes from byte offset {offset}, the file "
+            f"holds {max(size - offset, 0)}")
+
+
 def load_params(path):
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, 0, "magic")
@@ -258,6 +352,7 @@ def load_params(path):
         except ValueError as exc:
             raise CheckpointError(f"invalid dims at byte offset 5: {exc}") from exc
         offset = 21
+        _check_payload(fh, offset, 8 * _generator_floats(dims))
 
         def block(shape, what):
             nonlocal offset

@@ -113,7 +113,13 @@ def retrieve(query_embedding, gallery_embeddings, query_index=None):
     if gallery.shape[1] != query.shape[0]:
         raise ValueError(f"embedding dim mismatch: query {query.shape[0]}, "
                          f"gallery {gallery.shape[1]}")
-    distances = np.linalg.norm(gallery - query, axis=1)
+    # about 1 MiB of differences at a time; each row's norm is computed alone,
+    # so the blocking leaves every distance bitwise unchanged
+    rows = max(1, 2**17 // query.shape[0])
+    distances = np.empty(gallery.shape[0])
+    for start in range(0, gallery.shape[0], rows):
+        block = gallery[start:start + rows]
+        distances[start:start + rows] = np.linalg.norm(block - query, axis=1)
     order = np.argsort(distances, kind="stable")
     return RetrievalResult(query_index=query_index,
                            ranked_indices=order,

@@ -21,7 +21,7 @@ import struct
 import numpy as np
 
 from .data import batches, split
-from .estimator import class_scores_batch, expected_ages
+from .estimator import expected_ages
 from .losses import LossConfig, batch_loss
 from .mathcore import (
     AffineLayer,
@@ -39,10 +39,12 @@ from .metalearner import (
     CheckpointError,
     Dims,
     MetaLearnerParams,
+    _check_payload,
+    _generator_floats,
     _read_exact,
-    generate_weights_backward,
-    generate_weights_batch,
     init_params,
+    personal_scores,
+    personal_scores_backward,
 )
 from .metrics import eval_result
 
@@ -253,9 +255,8 @@ def model_forward(model, age_feats, id_feats, mode):
     else:
         g = age_feats
     if model.kind == "metaage":
-        weights, wcache = generate_weights_batch(model.meta, id_feats, mode)
-        scores = class_scores_batch(weights, g)
-        return scores, ("metaage", age_feats, g, weights, wcache)
+        scores, pcache = personal_scores(model.meta, id_feats, g, mode)
+        return scores, ("metaage", age_feats, pcache)
     if model.kind == "global":
         scores = affine_forward(g, model.table)
         return scores, ("global", age_feats, g)
@@ -273,10 +274,8 @@ def model_backward(model, grad_scores, cache):
     if kind != model.kind:
         raise ValueError(f"cache from kind {kind!r} fed to {model.kind!r}")
     if kind == "metaage":
-        _, raw, g, weights, wcache = cache
-        grad_weights = np.einsum("bk,bd->bkd", grad_scores, g)
-        grad_g = np.einsum("bk,bkd->bd", grad_scores, weights)
-        generate_weights_backward(model.meta, grad_weights, wcache)
+        _, raw, pcache = cache
+        grad_g = personal_scores_backward(model.meta, grad_scores, pcache)
     elif kind == "global":
         _, raw, g = cache
         grad_g = affine_backward(grad_scores, g, model.table)
@@ -460,6 +459,17 @@ def _model_blocks(model):
     return blocks
 
 
+def _payload_bytes(kind, dims, adapter):
+    """Bytes of the kind's float64 blocks plus the adapter's, if flagged."""
+    k, dd, ff, hh = dims.n_classes, dims.age_dim, dims.id_dim, dims.hidden_dim
+    floats = {"metaage": _generator_floats(dims),
+              "global": k * dd,
+              "concat": hh * (dd + ff) + 5 * hh + k * hh + k}[kind]
+    if adapter:
+        floats += dd * dd + dd
+    return 8 * floats
+
+
 def save_model(path, model):
     d = model.dims
     with open(path, "wb") as fh:
@@ -493,6 +503,7 @@ def load_model(path):
         except ValueError as exc:
             raise CheckpointError(f"invalid dims at byte offset 7: {exc}") from exc
         offset = _V2_HEADER.size
+        _check_payload(fh, offset, _payload_bytes(kind, dims, adapter_flag))
 
         def block(shape, what):
             nonlocal offset

@@ -1,11 +1,21 @@
 """Weight-generation checks: conditioning layout, degeneracy, gradients, io."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from persage.estimator import class_scores_batch
 from persage.losses import LossConfig, batch_loss
-from persage.mathcore import grad_check
+from persage.mathcore import (
+    affine_backward,
+    affine_forward,
+    batchnorm_backward,
+    batchnorm_forward,
+    grad_check,
+    relu_backward,
+    relu_forward,
+)
 from persage.metalearner import (
     CheckpointError,
     Dims,
@@ -17,6 +27,8 @@ from persage.metalearner import (
     init_params,
     load_params,
     one_hot,
+    personal_scores,
+    personal_scores_backward,
     save_params,
 )
 
@@ -183,6 +195,114 @@ def test_full_pipeline_gradients():
         assert report.passed, f"seed {seed}: {report}"
         checked += 1
     assert checked >= 10, f"only {checked} well-conditioned seeds in range"
+
+
+# ------------------------------------------- factored path vs explicit rows
+
+def _conditioning_matrix(params, id_feats):
+    """(B, F) identity features -> (B*K, F+D+K) explicit conditioning rows.
+
+    Row b*K + i is [h_b | w_common[i] | one-hot(i)]: the input the factored
+    generator never builds, kept here as its reference.
+    """
+    d = params.dims
+    b = id_feats.shape[0]
+    x = np.empty((b * d.n_classes, d.residual_in))
+    x[:, :d.id_dim] = np.repeat(id_feats, d.n_classes, axis=0)
+    x[:, d.id_dim:d.id_dim + d.age_dim] = np.tile(params.w_common, (b, 1))
+    x[:, d.id_dim + d.age_dim:] = np.tile(np.eye(d.n_classes), (b, 1))
+    assert np.array_equal(x[d.n_classes - 1],
+                          build_residual_input(id_feats[0], params.w_common[-1],
+                                               d.n_classes - 1, d.n_classes))
+    return x
+
+
+def _explicit_reference(params, ids, age, mode, grad_scores):
+    """Weights, scores, gradients and d(age) through the explicit rows.
+
+    Runs on a copy of ``params``; returns the copy (its batch-norm running
+    statistics and gradient buffers hold the reference state) as well.
+    """
+    d = params.dims
+    b = ids.shape[0]
+    p = copy.deepcopy(params)
+    p.zero_grad()
+    x = _conditioning_matrix(p, ids)
+    normed, bn_cache = batchnorm_forward(affine_forward(x, p.hidden), p.bn,
+                                         mode=mode)
+    hidden = relu_forward(normed)
+    res = affine_forward(hidden, p.output)
+    weights = p.w_common + res.reshape(b, d.n_classes, d.age_dim)
+    scores = class_scores_batch(weights, age)
+    grad_age = np.einsum("bk,bkd->bd", grad_scores, weights)
+    if mode == "train":
+        grad_w = np.einsum("bk,bd->bkd", grad_scores, age)
+        p.grad_w_common += grad_w.sum(axis=0)
+        g = affine_backward(grad_w.reshape(-1, d.age_dim), hidden, p.output)
+        g = batchnorm_backward(relu_backward(g, normed), bn_cache, p.bn)
+        grad_x = affine_backward(g, x, p.hidden)
+        rows = grad_x[:, d.id_dim:d.id_dim + d.age_dim]
+        p.grad_w_common += rows.reshape(b, d.n_classes, d.age_dim).sum(axis=0)
+    return p, weights, scores, grad_age
+
+
+def _assert_close(got, ref, what):
+    err = np.abs(got - ref).max()
+    assert err <= 1e-10 * np.abs(ref).max(), f"{what}: max abs error {err:.3e}"
+
+
+def _factored_cases():
+    rng = np.random.default_rng(2024)
+    cases = [(1, 1, 1, 1, 2)]
+    for _ in range(6):
+        cases.append((int(rng.integers(1, 13)), int(rng.integers(1, 11)),
+                      int(rng.integers(1, 9)), int(rng.integers(1, 11)),
+                      int(rng.integers(2, 7))))
+    cases.append((101, 64, 32, 64, 32))  # the acceptance size
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("k, d, f, h, b", _factored_cases())
+def test_factored_path_matches_explicit_rows(k, d, f, h, b, mode):
+    dims = Dims(n_classes=k, age_dim=d, id_dim=f, hidden_dim=h)
+    params = init_params(dims, k + d + f + h + b)
+    rng = np.random.default_rng(b)
+    # a nonzero hidden bias checks that it lands in the per-class table
+    params.hidden.bias[:] = rng.normal(scale=0.3, size=h)
+    params.bn.gamma[:] = rng.uniform(0.5, 1.5, size=h)
+    params.bn.beta[:] = rng.normal(scale=0.3, size=h)
+    params.bn.running_mean[:] = rng.normal(size=h)
+    params.bn.running_var[:] = rng.uniform(0.5, 2.0, size=h)
+    ids = rng.normal(size=(b, f))
+    age = rng.normal(size=(b, d))
+    grad_scores = rng.normal(size=(b, k))
+    ref, ref_weights, ref_scores, ref_grad_age = _explicit_reference(
+        params, ids, age, mode, grad_scores)
+
+    by_weights = copy.deepcopy(params)
+    weights, wcache = generate_weights_batch(by_weights, ids, mode)
+    _assert_close(weights, ref_weights, "weights")
+    by_scores = copy.deepcopy(params)
+    scores, scache = personal_scores(by_scores, ids, age, mode)
+    _assert_close(scores, ref_scores, "scores")
+    for p in (by_weights, by_scores):
+        for stat in ("running_mean", "running_var"):
+            if mode == "eval":
+                assert np.array_equal(getattr(p.bn, stat), getattr(params.bn, stat))
+            else:
+                _assert_close(getattr(p.bn, stat), getattr(ref.bn, stat), stat)
+    if mode == "eval":
+        return
+    generate_weights_backward(by_weights, np.einsum("bk,bd->bkd", grad_scores, age),
+                              wcache)
+    grad_age = personal_scores_backward(by_scores, grad_scores, scache)
+    _assert_close(grad_age, ref_grad_age, "age-feature gradient")
+    for p in (by_weights, by_scores):
+        for name, (_, grad) in ref.trainable().items():
+            _assert_close(p.trainable()[name][1], grad, name)
+        # the frozen biases get no gradient at all
+        assert not p.hidden.grad_bias.any() and not p.output.grad_bias.any()
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -176,6 +176,21 @@ def test_retrieve_rotation_invariance():
     assert np.allclose(base.distances, rotated.distances, atol=1e-9)
 
 
+@pytest.mark.parametrize("n, dim", [(3 * (2**17 // 100) + 7, 100),
+                                    (3, 2**17 + 5)])
+def test_retrieve_blocked_distances_are_bitwise_unblocked(n, dim):
+    # distances go over row blocks of 2**17 // dim rows; the row count is not
+    # a multiple of the block, and a dim above 2**17 makes one row per block
+    rng = np.random.default_rng(n)
+    gallery = rng.normal(size=(n, dim))
+    query = rng.normal(size=dim)
+    result = retrieve(query, gallery)
+    unblocked = np.linalg.norm(gallery - query, axis=1)
+    assert np.array_equal(result.distances, unblocked[result.ranked_indices])
+    assert np.array_equal(result.ranked_indices,
+                          np.argsort(unblocked, kind="stable"))
+
+
 def test_retrieve_validation():
     with pytest.raises(ValueError):
         retrieve(np.zeros(3), np.zeros((0, 3)))

@@ -1,6 +1,7 @@
 """Optimizer, training-loop, and checkpoint-v2 behavior."""
 
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from persage.data import Dataset, SynthConfig, synth_generate
 from persage.losses import batch_loss
 from persage.mathcore import AffineLayer, affine_forward, grad_check
-from persage.metalearner import CheckpointError, Dims, init_params
+from persage.metalearner import CheckpointError, Dims, init_params, load_params
 from persage.training import (
     AdamState,
     TrainConfig,
@@ -498,6 +499,10 @@ def test_checkpoint_corruption_offsets(tmp_path):
         load_model(write_variant("nan", lambda d: d.__setitem__(
             slice(23, 31), struct.pack("<d", np.nan))))
 
+    # a file one byte short fails before any block is read
+    with pytest.raises(CheckpointError, match="truncated checkpoint at byte offset"):
+        load_model(write_variant("short", lambda d: d.__delitem__(-1)))
+
     # negative running variance in the metaage block region
     dims = model.dims
     var_offset = 23 + 8 * (dims.n_classes * dims.age_dim
@@ -506,3 +511,24 @@ def test_checkpoint_corruption_offsets(tmp_path):
     with pytest.raises(CheckpointError, match="batch-norm"):
         load_model(write_variant("var", lambda d: d.__setitem__(
             slice(var_offset, var_offset + 8), struct.pack("<d", -1.0))))
+
+
+@pytest.mark.parametrize("reader, header", [
+    (load_params, b"MAPC\x01"),
+    (load_model, b"MAPC\x02\x00\x01"),
+])
+@pytest.mark.parametrize("k, d, f, h", [(1, 1, 1, 2**26), (2**31, 2**31, 2, 2)])
+def test_forged_dims_fail_before_allocating(tmp_path, reader, header, k, d, f, h):
+    # a header declaring gigabytes of blocks, followed by 64 bytes, must be
+    # refused from the file size alone; at H=2**26 the 64 bytes hold the
+    # whole first block, so only the size check stops a 1.5 GB read
+    path = tmp_path / "forged.mapc"
+    path.write_bytes(header + struct.pack("<4I", k, d, f, h) + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated checkpoint at byte offset"):
+            reader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
