@@ -65,6 +65,7 @@ from .metrics import (
     retrieve,
     slice_agreement,
     weight_embedding,
+    weight_embeddings,
 )
 from .training import (
     AdamState,
@@ -95,5 +96,5 @@ __all__ = [
     "personal_scores_backward", "predict", "read_features",
     "retrieve", "save_model", "save_params", "slice_agreement", "split",
     "subset", "synth_generate", "total_loss", "train", "train_baseline_concat",
-    "weight_embedding", "write_features",
+    "weight_embedding", "weight_embeddings", "write_features",
 ]

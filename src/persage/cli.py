@@ -30,7 +30,7 @@ from .data import (
     write_features,
 )
 from .metalearner import CheckpointError, Dims
-from .metrics import retrieve, slice_agreement, weight_embedding
+from .metrics import retrieve, slice_agreement, weight_embeddings
 from .training import (
     TrainConfig,
     evaluate,
@@ -269,8 +269,7 @@ def cmd_retrieve(args):
         raise ValueError("gallery feature widths do not match the checkpoint dims")
     if not 0.0 < args.fraction <= 0.5:
         raise UsageError(f"fraction must be in (0, 0.5], got {args.fraction}")
-    embeddings = np.stack([weight_embedding(model.meta, h)
-                           for h in dataset.id_feats])
+    embeddings = weight_embeddings(model.meta, dataset.id_feats)
     spread = float(np.ptp(embeddings, axis=0).max()) if len(dataset) else 0.0
     degenerate = spread == 0.0
     has_ids = len(dataset) > 0 and dataset.identity_ids.min() >= 0

@@ -121,7 +121,19 @@ def encode_label_distribution(y_mean, sigma, k):
 
 def hard_label(y_mean, k):
     """Nearest class index to a possibly fractional label, clamped to range."""
-    return int(min(max(round(float(y_mean)), 0), k - 1))
+    return int(hard_labels([y_mean], k)[0])
+
+
+def hard_labels(labels, k):
+    """Nearest class index of every entry of a label vector, as an int array.
+
+    Halves round to even (``np.rint``), and indices clamp to 0..k-1.
+    Non-finite labels have no nearest class and raise ValueError.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    if not np.isfinite(labels).all():
+        raise ValueError("labels must be finite")
+    return np.clip(np.rint(labels), 0, k - 1).astype(np.int64)
 
 
 def batch_loss(scores, labels, sigmas, config):
@@ -136,7 +148,7 @@ def batch_loss(scores, labels, sigmas, config):
     if scores.ndim != 2 or labels.shape != (scores.shape[0],):
         raise ValueError(f"shape mismatch: scores {scores.shape}, labels {labels.shape}")
     b, k = scores.shape
-    y_hard = np.array([hard_label(v, k) for v in labels])
+    y_hard = hard_labels(labels, k)
     if config.target_mode == "label_distribution":
         if sigmas is None:
             raise ValueError("label_distribution targets need per-sample sigmas")

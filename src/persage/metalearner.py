@@ -18,14 +18,24 @@ blocks are written as zeros) and no backward pass computes their gradients.
 The network is evaluated factored, never on stacked [h | w_common[i] | e_i]
 rows. Splitting the hidden weight into its column blocks [W_id | W_w | W_oh]
 makes the pre-activation of (person b, class i) the sum of a per-person term
-(h W_id^T)[b] and a per-class table (w_common W_w^T + W_oh^T)[i]; batch norm
-and ReLU then run on the B*K summed rows. Scores need no weight matrix either:
-with hid[b, i] the hidden row and g_b the age features,
-score[b, i] = g_b . w_common[i] + hid[b, i] . (g_b W_out). Training and
-evaluation go through ``personal_scores``, so they never build the (B, K, D)
-personalized weights; ``generate_weights_batch`` builds them only for callers
-that want the matrices themselves. ``generate_class_weight`` keeps the
-explicit one-row form.
+P[b] = (h W_id^T)[b] and a per-class table T[i] = (w_common W_w^T + W_oh^T)[i].
+Batch norm is factored the same way. Each (b, i) pair occurs exactly once
+among the B*K rows, so over the rows the mean is mean(P) + mean(T) and the
+biased variance is var(P) + var(T): the cross term sums to zero. The
+normalized row is a[b] + c[i], with inv = 1 / sqrt(var + epsilon),
+a = (P - mean P) inv and c = (T - mean T) inv. Batch norm therefore outputs
+(gamma a)[b] + (gamma c + beta)[i], and its backward needs only the
+per-person and per-class sums of the incoming gradient. Eval mode takes
+mean P = 0, mean T = running mean and the running variance, which folds the
+running statistics into the two terms. The post-ReLU hidden rows and their
+gradient are the only (B, K, H) arrays.
+
+Scores need no weight matrix either: with hid[b, i] the hidden row and g_b
+the age features, score[b, i] = g_b . w_common[i] + hid[b, i] . (g_b W_out).
+Training and evaluation go through ``personal_scores``, so they never build
+the (B, K, D) personalized weights; ``generate_weights_batch`` builds them
+only for callers that want the matrices themselves. ``generate_class_weight``
+keeps the explicit one-row form, through ``mathcore``'s row-wise batch norm.
 """
 
 from __future__ import annotations
@@ -40,11 +50,9 @@ from .mathcore import (
     AffineLayer,
     BatchNormLayer,
     affine_forward,
-    batchnorm_backward,
     batchnorm_forward,
     init_affine,
     init_batchnorm,
-    relu_backward,
     relu_forward,
 )
 
@@ -152,38 +160,90 @@ def _check_ids(params, id_feats):
 
 
 def _hidden_forward(params, id_feats, mode):
-    """(B, F) identity features -> (B*K, H) post-ReLU hidden rows, and a cache.
+    """(B, F) identity features -> (B, K, H) post-ReLU hidden rows, and a cache.
 
-    Row b*K + i is the hidden layer's output for sample b conditioned on class
+    Row [b, i] is the hidden layer's output for sample b conditioned on class
     i. Its pre-activation, hidden.weight @ [h_b | w_common[i] | e_i] + bias,
-    is the per-person term (h W_id^T)[b] plus the per-class table
-    (w_common W_w^T + W_oh^T + bias)[i], so no conditioning row is built.
+    is P[b] + T[i] with P = h W_id^T (B, H) and the per-class table
+    T = w_common W_w^T + W_oh^T + bias (K, H), so no conditioning row is
+    built. Batch norm runs on the two terms, never on the B*K summed rows:
+    train mode takes mean = mean(P) + mean(T) and biased variance
+    var(P) + var(T), the statistics of the summed rows, and updates the
+    running statistics with them; eval mode takes mean P = 0,
+    mean T = running mean and the running variance. With
+    inv = 1 / sqrt(var + epsilon), the output is
+    (gamma inv (P - mean P))[b] + (gamma inv (T - mean T) + beta)[i], and
+    ReLU runs in place on that one broadcast sum. The cache keeps the
+    centred terms and inv in train mode; in eval mode it keeps None there,
+    which the backward functions refuse. mode None means params.bn.mode.
     """
     d = params.dims
     f, dd = d.id_dim, d.age_dim
+    bn = params.bn
     w = params.hidden.weight
     person = id_feats @ w[:, :f].T                                      # (B, H)
     table = params.w_common @ w[:, f:f + dd].T + w[:, f + dd:].T + params.hidden.bias
-    pre = (person[:, None, :] + table[None, :, :]).reshape(-1, d.hidden_dim)
-    normed, bn_cache = batchnorm_forward(pre, params.bn, mode=mode)
-    hidden = relu_forward(normed)
-    return hidden, (id_feats, normed, bn_cache, hidden)
+    mode = bn.mode if mode is None else mode
+    if mode == "train":
+        if id_feats.shape[0] * d.n_classes < 2:
+            raise ValueError("train-mode batch normalization needs batch >= 2")
+        mean_person, mean_table = person.mean(axis=0), table.mean(axis=0)
+        mean = mean_person + mean_table
+        var = person.var(axis=0) + table.var(axis=0)
+        m = bn.momentum
+        bn.running_mean[:] = (1.0 - m) * bn.running_mean + m * mean
+        bn.running_var[:] = (1.0 - m) * bn.running_var + m * var
+    elif mode == "eval":
+        mean_person, mean_table, var = 0.0, bn.running_mean, bn.running_var
+    else:
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    inv = 1.0 / np.sqrt(var + bn.epsilon)
+    scale = bn.gamma * inv
+    person = person - mean_person
+    # the table's mean folds into its shift, one (K, H) pass fewer
+    hidden = (person * scale)[:, None, :] + (
+        table * scale + (bn.beta - mean_table * scale))
+    np.maximum(hidden, 0.0, out=hidden)
+    if mode == "eval":
+        return hidden, (id_feats, hidden, None)
+    return hidden, (id_feats, hidden, (person, table - mean_table, inv))
+
+
+def _check_train_cache(cache):
+    if cache[2] is None:
+        raise ValueError("the generator backward needs the cache from a "
+                         "train-mode forward")
 
 
 def _hidden_backward(params, grad_hidden, cache):
     """Accumulate hidden-layer, batch-norm and common-table gradients.
 
-    The pre-activation gradient sums over classes for W_id and over the batch
-    for W_w, W_oh and the common table's copy inside the conditioning.
+    grad_hidden: (B, K, H) d(loss)/d(post-ReLU rows); it is overwritten with
+    the ReLU-masked gradient g. With a = (P - mean P) inv and
+    c = (T - mean T) inv the normalized rows are a[b] + c[i], so the
+    row-wise batch-norm backward reduces to sums over the two terms. Let
+    Gb = sum_i g (B, H), Gk = sum_b g (K, H), S = sum_b a Gb + sum_i c Gk
+    and n = B*K. Then grad gamma = S, grad beta = sum Gb,
+    grad P = gamma inv / n (n Gb - K sum Gb - (K a + sum c) S), and grad T
+    is the same with B and K swapped. grad P reaches W_id; grad T reaches
+    W_w, W_oh and the common table's copy inside the conditioning.
     """
     d = params.dims
     f, dd = d.id_dim, d.age_dim
-    id_feats, normed, bn_cache, _ = cache
-    g = relu_backward(grad_hidden, normed)
-    g = batchnorm_backward(g, bn_cache, params.bn)
-    g = g.reshape(id_feats.shape[0], d.n_classes, d.hidden_dim)
-    grad_person = g.sum(axis=1)                                         # (B, H)
-    grad_table = g.sum(axis=0)                                          # (K, H)
+    id_feats, hidden, (person, table, inv) = cache
+    b, k = hidden.shape[:2]
+    n = b * k
+    a, c = person * inv, table * inv
+    g = np.multiply(grad_hidden, hidden > 0.0, out=grad_hidden)
+    grad_b = g.sum(axis=1)                                              # (B, H)
+    grad_k = g.sum(axis=0)                                              # (K, H)
+    total = grad_b.sum(axis=0)
+    s = (a * grad_b).sum(axis=0) + (c * grad_k).sum(axis=0)
+    params.bn.grad_gamma += s
+    params.bn.grad_beta += total
+    scale = params.bn.gamma * inv / n
+    grad_person = scale * (n * grad_b - k * total - (k * a + c.sum(axis=0)) * s)
+    grad_table = scale * (n * grad_k - b * total - (b * c + a.sum(axis=0)) * s)
     grad_w = params.hidden.grad_weight
     grad_w[:, :f] += grad_person.T @ id_feats
     grad_w[:, f:f + dd] += grad_table.T @ params.w_common
@@ -202,7 +262,7 @@ def generate_weights_batch(params, id_feats, mode):
     d = params.dims
     id_feats = _check_ids(params, id_feats)
     hidden, cache = _hidden_forward(params, id_feats, mode)
-    res = affine_forward(hidden, params.output)
+    res = affine_forward(hidden.reshape(-1, d.hidden_dim), params.output)
     weights = params.w_common[None, :, :] + res.reshape(
         id_feats.shape[0], d.n_classes, d.age_dim)
     return weights, cache
@@ -217,13 +277,14 @@ def generate_weights_backward(params, grad_weights, cache):
     parameters' buffers.
     """
     d = params.dims
+    _check_train_cache(cache)
     b = grad_weights.shape[0]
     if grad_weights.shape != (b, d.n_classes, d.age_dim):
         raise ValueError(f"grad_weights shape {grad_weights.shape} unexpected")
     params.grad_w_common += grad_weights.sum(axis=0)
     grad_res = grad_weights.reshape(b * d.n_classes, d.age_dim)
-    params.output.grad_weight += grad_res.T @ cache[3]
-    _hidden_backward(params, grad_res @ params.output.weight, cache)
+    params.output.grad_weight += grad_res.T @ cache[1].reshape(-1, d.hidden_dim)
+    _hidden_backward(params, grad_weights @ params.output.weight, cache)
 
 
 def personal_scores(params, id_feats, age_feats, mode):
@@ -242,7 +303,6 @@ def personal_scores(params, id_feats, age_feats, mode):
         raise ValueError(f"age features must be ({id_feats.shape[0]}, "
                          f"{d.age_dim}), got {age_feats.shape}")
     hidden, cache = _hidden_forward(params, id_feats, mode)
-    hidden = hidden.reshape(-1, d.n_classes, d.hidden_dim)
     proj = age_feats @ params.output.weight                             # (B, H)
     scores = (age_feats @ params.w_common.T
               + np.matmul(hidden, proj[:, :, None])[:, :, 0])
@@ -256,17 +316,16 @@ def personal_scores_backward(params, grad_scores, cache):
     """
     d = params.dims
     age_feats, proj, hcache = cache
+    _check_train_cache(hcache)
     b = age_feats.shape[0]
     grad_scores = np.asarray(grad_scores, dtype=np.float64)
     if grad_scores.shape != (b, d.n_classes):
         raise ValueError(f"grad_scores shape {grad_scores.shape}, "
                          f"expected ({b}, {d.n_classes})")
-    hidden = hcache[3].reshape(b, d.n_classes, d.hidden_dim)
-    mixed = np.matmul(grad_scores[:, None, :], hidden)[:, 0, :]         # (B, H)
+    mixed = np.matmul(grad_scores[:, None, :], hcache[1])[:, 0, :]      # (B, H)
     params.grad_w_common += grad_scores.T @ age_feats
     params.output.grad_weight += age_feats.T @ mixed
-    grad_hidden = grad_scores[:, :, None] * proj[:, None, :]
-    _hidden_backward(params, grad_hidden.reshape(-1, d.hidden_dim), hcache)
+    _hidden_backward(params, grad_scores[:, :, None] * proj[:, None, :], hcache)
     return grad_scores @ params.w_common + mixed @ params.output.weight.T
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metalearner import generate_weights
+from .metalearner import generate_weights, generate_weights_batch
 
 
 def _pair(preds, labels):
@@ -102,6 +102,26 @@ class RetrievalResult:
 def weight_embedding(params, id_feat):
     """Flattened personalized weight matrix (eval mode), length K*D."""
     return generate_weights(params, id_feat, mode="eval").reshape(-1)
+
+
+_EMBED_CHUNK = 256  # identity rows per generate_weights_batch call
+
+
+def weight_embeddings(params, id_feats):
+    """weight_embedding of each row of (N, F) identity features: (N, K*D).
+
+    Rows go through eval-mode generate_weights_batch _EMBED_CHUNK at a time.
+    Eval mode makes each row independent of the rest of its chunk, so the
+    result equals the per-sample embeddings up to rounding.
+    """
+    id_feats = np.asarray(id_feats, dtype=np.float64)
+    d = params.dims
+    out = np.empty((id_feats.shape[0], d.n_classes * d.age_dim))
+    for start in range(0, id_feats.shape[0], _EMBED_CHUNK):
+        weights, _ = generate_weights_batch(
+            params, id_feats[start:start + _EMBED_CHUNK], mode="eval")
+        out[start:start + _EMBED_CHUNK] = weights.reshape(weights.shape[0], -1)
+    return out
 
 
 def retrieve(query_embedding, gallery_embeddings, query_index=None):

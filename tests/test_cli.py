@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import persage.cli
 from persage.cli import main
 from persage.data import read_features
+from persage.metrics import retrieve, weight_embedding
 from persage.training import load_model
 
 SYNTH = ["synth", "--identities", "12", "--per-identity", "4", "--k", "20",
@@ -130,6 +132,32 @@ def test_retrieve_report(workspace, tmp_path):
         assert entry["distances"][0] == 0.0
         assert len(entry["ranked_indices"]) == doc["n"]
         assert "top_same_identity_rate" in entry
+
+
+def test_retrieve_gallery_embeddings_match_per_sample(workspace, tmp_path,
+                                                      monkeypatch):
+    galleries = []
+
+    def recording(query, gallery, query_index=None):
+        galleries.append(gallery)
+        return retrieve(query, gallery, query_index=query_index)
+
+    monkeypatch.setattr(persage.cli, "retrieve", recording)
+    out = tmp_path / "ret"
+    data = workspace / "data" / "train.mafv1"
+    assert run("retrieve", "--model", str(workspace / "run" / "model.mapc"),
+               "--data", str(data), "--out", str(out)) == 0
+    model = load_model(workspace / "run" / "model.mapc")
+    per = np.stack([weight_embedding(model.meta, h)
+                    for h in read_features(data).id_feats])
+    assert len(galleries) == per.shape[0]
+    gallery = galleries[0]
+    assert all(g is gallery for g in galleries)
+    assert np.abs(gallery - per).max() <= 1e-12 * np.abs(per).max()
+    doc = json.loads((out / "retrieval.json").read_text())
+    for entry in doc["queries"]:
+        assert entry["ranked_indices"][0] == entry["query_index"]
+        assert entry["distances"][0] == 0.0
 
 
 def test_retrieve_self_rank_with_fresh_checkpoint(workspace, tmp_path):

@@ -9,6 +9,7 @@ from persage.losses import (
     cls_loss,
     encode_label_distribution,
     hard_label,
+    hard_labels,
     hinge,
     ord_loss,
     total_loss,
@@ -222,6 +223,34 @@ def test_hard_label_rounds_and_clamps():
     assert hard_label(3.6, 10) == 4
     assert hard_label(-2.0, 10) == 0
     assert hard_label(12.7, 10) == 9
+
+
+def test_hard_labels_match_hard_label_elementwise():
+    k = 10
+    halves = np.arange(-3.5, k + 3.0, 0.5)
+    labels = np.concatenate([
+        halves, -halves, [-0.5, -1e-300, -7.2, -1e300],          # negatives
+        [k - 1.0, k - 0.5, k + 0.49, 1e300],                       # above K-1
+        np.random.default_rng(0).uniform(-2.0, k + 2.0, size=200)])  # fractions
+    # Python's round also rounds halves to even
+    expected = np.array([min(max(round(v), 0), k - 1) for v in labels])
+    got = hard_labels(labels, k)
+    assert got.dtype.kind == "i"
+    assert np.array_equal(got, expected)
+    assert [hard_label(v, k) for v in labels] == expected.tolist()
+    assert hard_labels(np.array([0.5, 1.5, 2.5]), k).tolist() == [0, 2, 2]
+    config = LossConfig(lam=0.3, delta=1.5)
+    scores = np.random.default_rng(1).normal(scale=3.0, size=(labels.size, k))
+    loss, grad = batch_loss(scores, labels, None, config)
+    per = [total_loss(scores[i], e, e, config) for i, e in enumerate(expected)]
+    assert abs(loss - np.mean([p[0] for p in per])) < 1e-12
+    assert np.allclose(grad, np.stack([p[1] for p in per]) / labels.size,
+                       atol=1e-12)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            hard_labels(np.array([1.0, bad]), k)
+        with pytest.raises(ValueError):
+            batch_loss(np.zeros((2, k)), np.array([1.0, bad]), None, config)
 
 
 # ---------------------------------------------------------------- batch helper

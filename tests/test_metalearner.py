@@ -253,7 +253,8 @@ def _assert_close(got, ref, what):
 
 def _factored_cases():
     rng = np.random.default_rng(2024)
-    cases = [(1, 1, 1, 1, 2)]
+    # B=1 is legal in train mode only because the class grid gives K rows
+    cases = [(1, 1, 1, 1, 2), (7, 3, 4, 5, 1)]
     for _ in range(6):
         cases.append((int(rng.integers(1, 13)), int(rng.integers(1, 11)),
                       int(rng.integers(1, 9)), int(rng.integers(1, 11)),
@@ -303,6 +304,46 @@ def test_factored_path_matches_explicit_rows(k, d, f, h, b, mode):
             _assert_close(p.trainable()[name][1], grad, name)
         # the frozen biases get no gradient at all
         assert not p.hidden.grad_bias.any() and not p.output.grad_bias.any()
+
+
+def test_train_mode_needs_two_rows_and_backward_needs_train_cache():
+    dims = Dims(n_classes=1, age_dim=3, id_dim=2, hidden_dim=4)
+    params = init_params(dims, 5)
+    ids, age = np.ones((1, 2)), np.ones((1, 3))
+    before = copy.deepcopy(params.bn)
+    with pytest.raises(ValueError, match="batch >= 2"):
+        generate_weights_batch(params, ids, "train")
+    with pytest.raises(ValueError, match="batch >= 2"):
+        personal_scores(params, ids, age, "train")
+    assert np.array_equal(params.bn.running_mean, before.running_mean)
+    assert np.array_equal(params.bn.running_var, before.running_var)
+    with pytest.raises(ValueError, match="mode"):
+        generate_weights_batch(params, ids, "Train")
+    # mode=None means params.bn.mode, as in mathcore.batchnorm_forward
+    params.bn.mode = "eval"
+    by_layer, _ = generate_weights_batch(params, ids, None)
+    assert np.array_equal(by_layer, generate_weights_batch(params, ids, "eval")[0])
+    params.bn.mode = "train"
+    with pytest.raises(ValueError, match="batch >= 2"):
+        generate_weights_batch(params, ids, None)
+    # a single sample in eval mode, or two in train mode, is fine
+    generate_weights_batch(params, ids, "eval")
+    generate_weights_batch(params, np.ones((2, 2)), "train")
+
+    dims = small_dims()
+    params = init_params(dims, 5)
+    rng = np.random.default_rng(3)
+    ids = rng.normal(size=(2, dims.id_dim))
+    age = rng.normal(size=(2, dims.age_dim))
+    _, wcache = generate_weights_batch(params, ids, "eval")
+    _, scache = personal_scores(params, ids, age, "eval")
+    with pytest.raises(ValueError, match="train-mode"):
+        generate_weights_backward(
+            params, np.ones((2, dims.n_classes, dims.age_dim)), wcache)
+    with pytest.raises(ValueError, match="train-mode"):
+        personal_scores_backward(params, np.ones((2, dims.n_classes)), scache)
+    # refused before any gradient is accumulated
+    assert all(not grad.any() for _, grad in params.trainable().values())
 
 
 def test_checkpoint_round_trip(tmp_path):

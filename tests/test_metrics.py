@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from persage import metrics
 from persage.data import SynthConfig, synth_generate
 from persage.metalearner import Dims, init_params
 from persage.metrics import (
@@ -17,6 +18,7 @@ from persage.metrics import (
     retrieve,
     slice_agreement,
     weight_embedding,
+    weight_embeddings,
 )
 
 
@@ -211,6 +213,22 @@ def test_weight_embedding_shape_and_degeneracy():
     e2 = weight_embedding(params, rng.normal(size=5))
     assert np.array_equal(e1, e2)
     assert np.array_equal(e1, params.w_common.reshape(-1))
+
+
+def test_weight_embeddings_match_per_sample_in_any_chunking(monkeypatch):
+    dims = Dims(n_classes=4, age_dim=6, id_dim=5, hidden_dim=8)
+    params = init_params(dims, 3)
+    rng = np.random.default_rng(2)
+    params.bn.running_mean[:] = rng.normal(size=8)
+    params.bn.running_var[:] = rng.uniform(0.5, 2.0, size=8)
+    ids = rng.normal(size=(23, 5))
+    per = np.stack([weight_embedding(params, h) for h in ids])
+    for chunk in (1, 7, 23, 256):
+        monkeypatch.setattr(metrics, "_EMBED_CHUNK", chunk)
+        got = weight_embeddings(params, ids)
+        assert got.shape == (23, 24)
+        assert np.abs(got - per).max() <= 1e-12 * np.abs(per).max()
+    assert weight_embeddings(params, np.zeros((0, 5))).shape == (0, 24)
 
 
 def test_slice_agreement():

@@ -12,6 +12,7 @@ from persage.losses import batch_loss
 from persage.mathcore import AffineLayer, affine_forward, grad_check
 from persage.metalearner import CheckpointError, Dims, init_params, load_params
 from persage.training import (
+    MODEL_KINDS,
     AdamState,
     TrainConfig,
     TrainedModel,
@@ -275,6 +276,44 @@ def test_evaluate_is_side_effect_free():
     second = evaluate(model, ds)
     assert first.to_json() == second.to_json()
     assert np.array_equal(model.mlp.bn.running_mean, running)
+
+
+def test_eval_predictions_ignore_batch_makeup_and_chunk():
+    # eval mode normalizes with running statistics only, so a sample's
+    # prediction is the same alone, in any batch and in any chunking
+    ds = small_dataset()
+    gallery = small_dataset(seed=2, n_identities=100, per=6)
+    age, ids = gallery.age_feats, gallery.id_feats
+    n = len(gallery)  # 600: every chunk size below splits it
+    perm = np.random.default_rng(4).permutation(n)
+    for kind in MODEL_KINDS:
+        model = train(ds, quick_config(model_kind=kind, epochs=2))
+        ref = model_predict(model, age, ids, chunk=n)
+
+        def check(got, want, what):
+            err = np.abs(got - want).max()
+            assert err <= 1e-12, f"{kind}, {what}: max abs error {err:.3e}"
+
+        for chunk in (1, 7, 512):
+            check(model_predict(model, age, ids, chunk=chunk), ref,
+                  f"chunk {chunk}")
+        check(model_predict(model, age[perm], ids[perm], chunk=7), ref[perm],
+              "permuted batch")
+        for lo, hi in ((0, 1), (5, 17), (n - 3, n)):
+            check(model_predict(model, age[lo:hi], ids[lo:hi]), ref[lo:hi],
+                  f"rows {lo}:{hi}")
+
+
+def test_running_variance_finite_and_nonnegative_after_training():
+    ds = small_dataset()
+    for kind in ("metaage", "concat"):
+        model = train(ds, quick_config(model_kind=kind, epochs=4))
+        bn = model.meta.bn if kind == "metaage" else model.mlp.bn
+        assert np.isfinite(bn.running_var).all(), kind
+        assert (bn.running_var >= 0.0).all(), kind
+        assert np.isfinite(bn.running_mean).all(), kind
+        # training moved the statistics away from their initial (0, 1)
+        assert not np.array_equal(bn.running_var, np.ones_like(bn.running_var))
 
 
 def test_evaluate_eps_error_needs_all_sigmas():
