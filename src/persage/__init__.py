@@ -7,7 +7,8 @@ hinge), ``metalearner`` (the residual generator mapping identity features to
 K x D classifier weights), ``data`` (binary feature files and a synthetic
 benchmark with analytic error floors), ``metrics`` (MAE / cumulative score /
 sigma-weighted error, weight-space retrieval), ``training`` (Adam loop for
-the generator and its global / concatenation baselines), and ``cli``.
+the generator and its global / concatenation baselines, and the checkpoint
+files), and ``cli``.
 """
 
 from .data import (
@@ -42,17 +43,14 @@ from .mathcore import (
     softmax,
 )
 from .metalearner import (
-    CheckpointError,
     Dims,
     MetaLearnerParams,
     generate_class_weight,
     generate_weights,
     generate_weights_batch,
     init_params,
-    load_params,
     personal_scores,
     personal_scores_backward,
-    save_params,
 )
 from .metrics import (
     EvalResult,
@@ -69,15 +67,17 @@ from .metrics import (
 )
 from .training import (
     AdamState,
+    CheckpointError,
     TrainConfig,
     TrainedModel,
     adam_step,
     evaluate,
     lambda_delta_sweep,
     load_model,
+    load_params,
     save_model,
+    save_params,
     train,
-    train_baseline_concat,
 )
 
 __version__ = "0.1.0"
@@ -95,6 +95,6 @@ __all__ = [
     "load_model", "load_params", "mae", "ord_loss", "personal_scores",
     "personal_scores_backward", "predict", "read_features",
     "retrieve", "save_model", "save_params", "slice_agreement", "split",
-    "subset", "synth_generate", "total_loss", "train", "train_baseline_concat",
-    "weight_embedding", "weight_embeddings", "write_features",
+    "subset", "synth_generate", "total_loss", "train", "weight_embedding",
+    "weight_embeddings", "write_features",
 ]

@@ -29,9 +29,10 @@ from .data import (
     synth_generate,
     write_features,
 )
-from .metalearner import CheckpointError, Dims
+from .metalearner import Dims
 from .metrics import retrieve, slice_agreement, weight_embeddings
 from .training import (
+    CheckpointError,
     TrainConfig,
     evaluate,
     history_csv,

@@ -168,17 +168,23 @@ def read_features(path):
         raise FormatError(f"unsupported version {version} at byte offset 4")
     if d < 1 or f < 1 or k < 1:
         raise FormatError(f"invalid dims D={d}, F={f}, K={k} at byte offset 9")
-    dtype = _record_dtype(d, f)
-    expected = HEADER.size + n * dtype.itemsize
+    # Python ints, so forged dims can neither overflow the sizes nor reach
+    # numpy, whose record dtypes must fit a C int
+    record = 12 + 4 * (d + f)
+    expected = HEADER.size + n * record
     if len(raw) != expected:
         raise FormatError(
             f"record block at byte offset {HEADER.size}: expected "
             f"{expected - HEADER.size} bytes for {n} records of "
-            f"{dtype.itemsize}, got {len(raw) - HEADER.size}")
-    rec = np.frombuffer(raw, dtype=dtype, count=n, offset=HEADER.size)
+            f"{record}, got {len(raw) - HEADER.size}")
+    if record > np.iinfo(np.intc).max:
+        raise FormatError(f"records of {record} bytes (D={d}, F={f}) at byte "
+                          f"offset 9 exceed the largest numpy record dtype")
+    rec = np.frombuffer(raw, dtype=_record_dtype(d, f), count=n,
+                        offset=HEADER.size)
 
     def record_offset(i):
-        return HEADER.size + i * dtype.itemsize
+        return HEADER.size + i * record
 
     labels = rec["label"].astype(np.float64)
     bad = ~np.isfinite(labels) | (labels < 0) | (labels > k - 1)

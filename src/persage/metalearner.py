@@ -40,8 +40,6 @@ keeps the explicit one-row form, through ``mathcore``'s row-wise batch norm.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +53,6 @@ from .mathcore import (
     init_batchnorm,
     relu_forward,
 )
-
-CHECKPOINT_MAGIC = b"MAPC"
 
 
 @dataclass
@@ -346,101 +342,3 @@ def generate_class_weight(params, id_feat, i, mode="eval"):
     pre = affine_forward(x[None, :], params.hidden)
     hidden = relu_forward(batchnorm_forward(pre, params.bn, mode=mode)[0])
     return params.w_common[int(i)] + affine_forward(hidden, params.output)[0]
-
-
-# ------------------------------------------------------------- checkpoint io
-
-def save_params(path, params):
-    """Single binary file: magic, version byte, dims, then raw float64 blocks."""
-    d = params.dims
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<B", 1))
-        fh.write(struct.pack("<4I", d.n_classes, d.age_dim, d.id_dim, d.hidden_dim))
-        for arr in (params.w_common, params.hidden.weight, params.hidden.bias,
-                    params.bn.gamma, params.bn.beta,
-                    params.bn.running_mean, params.bn.running_var,
-                    params.output.weight, params.output.bias):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-class CheckpointError(Exception):
-    """Raised with a byte offset when a checkpoint file cannot be decoded."""
-
-
-def _read_exact(fh, n, offset, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(
-            f"truncated checkpoint at byte offset {offset}: "
-            f"needed {n} bytes for {what}, got {len(data)}")
-    return data
-
-
-def _generator_floats(dims):
-    """float64 count of the generator's nine checkpoint blocks."""
-    k, dd, hh = dims.n_classes, dims.age_dim, dims.hidden_dim
-    return k * dd + hh * dims.residual_in + 5 * hh + dd * hh + dd
-
-
-def _check_payload(fh, offset, payload):
-    """Refuse a file shorter than its header declares, before reading a block.
-
-    ``payload`` is computed from the header dims in Python ints, so a forged
-    header can neither overflow it nor make a reader allocate it.
-    """
-    size = os.fstat(fh.fileno()).st_size
-    if size < offset + payload:
-        raise CheckpointError(
-            f"truncated checkpoint at byte offset {size}: the header declares "
-            f"{payload} payload bytes from byte offset {offset}, the file "
-            f"holds {max(size - offset, 0)}")
-
-
-def load_params(path):
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, 0, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad magic {magic!r} at byte offset 0")
-        version = _read_exact(fh, 1, 4, "version")[0]
-        if version != 1:
-            raise CheckpointError(f"unsupported version {version} at byte offset 4")
-        k, dd, ff, hh = struct.unpack("<4I", _read_exact(fh, 16, 5, "dims"))
-        try:
-            dims = Dims(n_classes=k, age_dim=dd, id_dim=ff, hidden_dim=hh)
-        except ValueError as exc:
-            raise CheckpointError(f"invalid dims at byte offset 5: {exc}") from exc
-        offset = 21
-        _check_payload(fh, offset, 8 * _generator_floats(dims))
-
-        def block(shape, what):
-            nonlocal offset
-            start = offset
-            n = int(np.prod(shape)) * 8
-            data = _read_exact(fh, n, offset, what)
-            offset += n
-            arr = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
-            if not np.isfinite(arr).all():
-                raise CheckpointError(
-                    f"non-finite values in {what} block at byte offset {start}")
-            return arr
-
-        w_common = block((k, dd), "common weight table")
-        hidden = AffineLayer(weight=block((hh, dims.residual_in), "hidden weight"),
-                             bias=block((hh,), "hidden bias"))
-        bn_offset = offset
-        try:
-            bn = BatchNormLayer(gamma=block((hh,), "bn gamma"),
-                                beta=block((hh,), "bn beta"),
-                                running_mean=block((hh,), "bn running mean"),
-                                running_var=block((hh,), "bn running var"))
-        except ValueError as exc:
-            raise CheckpointError(
-                f"invalid batch-norm state at byte offset {bn_offset}: {exc}") from exc
-        output = AffineLayer(weight=block((dd, hh), "output weight"),
-                             bias=block((dd,), "output bias"))
-        trailing = fh.read(1)
-        if trailing:
-            raise CheckpointError(f"trailing data at byte offset {offset}")
-    return MetaLearnerParams(w_common=w_common, hidden=hidden, bn=bn,
-                             output=output, dims=dims)

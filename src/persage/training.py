@@ -16,7 +16,11 @@ transformed by anything trainable; they enter only as constant inputs.
 """
 
 from dataclasses import dataclass, field, replace
+import math
+from operator import attrgetter
+import os
 import struct
+from typing import Callable
 
 import numpy as np
 
@@ -36,19 +40,13 @@ from .mathcore import (
     softmax,
 )
 from .metalearner import (
-    CheckpointError,
     Dims,
     MetaLearnerParams,
-    _check_payload,
-    _generator_floats,
-    _read_exact,
     init_params,
     personal_scores,
     personal_scores_backward,
 )
 from .metrics import eval_result
-
-MODEL_KINDS = ("metaage", "global", "concat")
 
 
 @dataclass
@@ -176,6 +174,73 @@ def init_concat(dims, seed):
         dims=dims)
 
 
+def _concat_forward(mlp, g, id_feats, mode):
+    x = np.concatenate([g, id_feats], axis=1)
+    pre = affine_forward(x, mlp.hidden)
+    normed, bn_cache = batchnorm_forward(pre, mlp.bn, mode=mode)
+    hidden = relu_forward(normed)
+    return affine_forward(hidden, mlp.output), (x, normed, bn_cache, hidden)
+
+
+def _concat_backward(mlp, grad_scores, cache):
+    x, normed, bn_cache, hidden = cache
+    grad_hidden = affine_backward(grad_scores, hidden, mlp.output)
+    grad_normed = relu_backward(grad_hidden, normed)
+    grad_pre = batchnorm_backward(grad_normed, bn_cache, mlp.bn)
+    return affine_backward(grad_pre, x, mlp.hidden)[:, :mlp.dims.age_dim]
+
+
+def _mlp_layout(in_dim, hidden_dim, out_dim):
+    """Checkpoint blocks of affine -> batch norm -> affine, in file order."""
+    h = hidden_dim
+    return (("hidden.weight", (h, in_dim)), ("hidden.bias", (h,)),
+            ("bn.gamma", (h,)), ("bn.beta", (h,)),
+            ("bn.running_mean", (h,)), ("bn.running_var", (h,)),
+            ("output.weight", (out_dim, h)), ("output.bias", (out_dim,)))
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything that differs by model kind; ``_KINDS`` holds one per kind."""
+
+    code: int            # the kind byte of a version-2 checkpoint
+    slot: str            # the TrainedModel attribute holding the parameters
+    init: Callable       # (dims, seed) -> parameters
+    trainable: Callable  # parameters -> {name: (param, grad)}
+    forward: Callable    # (parameters, g, id_feats, mode) -> (scores, cache)
+    backward: Callable   # (parameters, grad_scores, cache) -> d(loss)/d(g)
+    layout: Callable     # dims -> checkpoint blocks as (attribute path, shape)
+
+
+_KINDS = {
+    "metaage": _Kind(
+        code=0, slot="meta", init=init_params,
+        trainable=MetaLearnerParams.trainable,
+        forward=lambda meta, g, id_feats, mode: personal_scores(
+            meta, id_feats, g, mode),
+        backward=personal_scores_backward,
+        layout=lambda d: (("w_common", (d.n_classes, d.age_dim)),)
+        + _mlp_layout(d.residual_in, d.hidden_dim, d.age_dim)),
+    # bias-free by design: this keeps the baseline exactly equal to the
+    # generator with its residual zeroed, which has no bias either
+    "global": _Kind(
+        code=1, slot="table",
+        init=lambda d, seed: init_affine(d.n_classes, d.age_dim,
+                                         np.random.default_rng(seed)),
+        trainable=lambda table: {"table": (table.weight, table.grad_weight)},
+        forward=lambda table, g, id_feats, mode: (affine_forward(g, table), g),
+        backward=lambda table, grad_scores, g: affine_backward(grad_scores, g,
+                                                               table),
+        layout=lambda d: (("weight", (d.n_classes, d.age_dim)),)),
+    "concat": _Kind(
+        code=2, slot="mlp", init=init_concat, trainable=ConcatParams.trainable,
+        forward=_concat_forward, backward=_concat_backward,
+        layout=lambda d: _mlp_layout(d.age_dim + d.id_dim, d.hidden_dim,
+                                     d.n_classes)),
+}
+MODEL_KINDS = tuple(_KINDS)
+
+
 def init_adapter(dims):
     # identity map at the start, so untouched age features pass through
     return AffineLayer(weight=np.eye(dims.age_dim), bias=np.zeros(dims.age_dim))
@@ -194,32 +259,27 @@ class TrainedModel:
     history: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        slots = {"metaage": self.meta, "global": self.table, "concat": self.mlp}
-        for kind, value in slots.items():
-            if (value is None) == (kind == self.kind):
-                raise ValueError(f"kind {self.kind!r} requires exactly its own "
-                                 f"parameter slot to be set")
+        filled = [spec.slot for spec in _KINDS.values()
+                  if getattr(self, spec.slot) is not None]
+        if filled != [_KINDS[self.kind].slot]:
+            raise ValueError(f"kind {self.kind!r} requires exactly its own "
+                             f"parameter slot to be set")
+
+    @property
+    def params(self):
+        """The parameters of the model's own kind, without the adapter."""
+        return getattr(self, _KINDS[self.kind].slot)
 
     def zero_grad(self):
-        if self.kind == "metaage":
-            self.meta.zero_grad()
-        elif self.kind == "global":
-            self.table.zero_grad()
-        else:
-            self.mlp.zero_grad()
+        self.params.zero_grad()
         if self.adapter is not None:
             self.adapter.zero_grad()
 
     def trainable(self):
         """name -> (param, grad), everything the optimizer touches."""
-        if self.kind == "metaage":
-            items = dict(self.meta.trainable())
-        elif self.kind == "global":
-            items = {"table": (self.table.weight, self.table.grad_weight)}
-        else:
-            items = dict(self.mlp.trainable())
+        items = dict(_KINDS[self.kind].trainable(self.params))
         if self.adapter is not None:
             items["adapter.weight"] = (self.adapter.weight,
                                        self.adapter.grad_weight)
@@ -229,19 +289,10 @@ class TrainedModel:
 
 def init_model(config):
     d = config.dims
-    adapter = init_adapter(d) if config.use_adapter else None
-    if config.model_kind == "metaage":
-        return TrainedModel(kind="metaage", dims=d,
-                            meta=init_params(d, config.seed), adapter=adapter)
-    if config.model_kind == "global":
-        rng = np.random.default_rng(config.seed)
-        # bias-free by design: this keeps the baseline exactly equal to the
-        # generator with its residual zeroed, which has no bias either
-        return TrainedModel(kind="global", dims=d,
-                            table=init_affine(d.n_classes, d.age_dim, rng),
-                            adapter=adapter)
-    return TrainedModel(kind="concat", dims=d,
-                        mlp=init_concat(d, config.seed), adapter=adapter)
+    spec = _KINDS[config.model_kind]
+    return TrainedModel(kind=config.model_kind, dims=d,
+                        adapter=init_adapter(d) if config.use_adapter else None,
+                        **{spec.slot: spec.init(d, config.seed)})
 
 
 # ----------------------------------------------------------- forward/backward
@@ -254,38 +305,16 @@ def model_forward(model, age_feats, id_feats, mode):
         g = affine_forward(age_feats, model.adapter)
     else:
         g = age_feats
-    if model.kind == "metaage":
-        scores, pcache = personal_scores(model.meta, id_feats, g, mode)
-        return scores, ("metaage", age_feats, pcache)
-    if model.kind == "global":
-        scores = affine_forward(g, model.table)
-        return scores, ("global", age_feats, g)
-    x = np.concatenate([g, id_feats], axis=1)
-    pre = affine_forward(x, model.mlp.hidden)
-    normed, bn_cache = batchnorm_forward(pre, model.mlp.bn, mode=mode)
-    hidden = relu_forward(normed)
-    scores = affine_forward(hidden, model.mlp.output)
-    return scores, ("concat", age_feats, g, x, normed, bn_cache, hidden)
+    scores, cache = _KINDS[model.kind].forward(model.params, g, id_feats, mode)
+    return scores, (model.kind, age_feats, cache)
 
 
 def model_backward(model, grad_scores, cache):
     """Accumulate parameter gradients for the cached forward pass."""
-    kind = cache[0]
+    kind, raw, kind_cache = cache
     if kind != model.kind:
         raise ValueError(f"cache from kind {kind!r} fed to {model.kind!r}")
-    if kind == "metaage":
-        _, raw, pcache = cache
-        grad_g = personal_scores_backward(model.meta, grad_scores, pcache)
-    elif kind == "global":
-        _, raw, g = cache
-        grad_g = affine_backward(grad_scores, g, model.table)
-    else:
-        _, raw, g, x, normed, bn_cache, hidden = cache
-        grad_hidden = affine_backward(grad_scores, hidden, model.mlp.output)
-        grad_normed = relu_backward(grad_hidden, normed)
-        grad_pre = batchnorm_backward(grad_normed, bn_cache, model.mlp.bn)
-        grad_x = affine_backward(grad_pre, x, model.mlp.hidden)
-        grad_g = grad_x[:, :model.dims.age_dim]
+    grad_g = _KINDS[kind].backward(model.params, grad_scores, kind_cache)
     if model.adapter is not None:
         affine_backward(grad_g, raw, model.adapter)
 
@@ -353,8 +382,10 @@ def train(dataset, config, model=None):
             model.zero_grad()
             scores, cache = model_forward(model, dataset.age_feats[idx],
                                           dataset.id_feats[idx], mode="train")
-            loss, grad_scores = batch_loss(scores, dataset.labels[idx],
-                                           dataset.sigmas[idx], loss_cfg)
+            # non-finite scores have no loss; they stop the run here too
+            loss, grad_scores = (batch_loss(scores, dataset.labels[idx],
+                                            dataset.sigmas[idx], loss_cfg)
+                                 if np.isfinite(scores).all() else (np.nan, None))
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"loss became non-finite at epoch {epoch + 1}, "
@@ -368,13 +399,6 @@ def train(dataset, config, model=None):
             seen += idx.size
         model.history.append((loss_sum / seen, abs_err_sum / seen))
     return model
-
-
-def train_baseline_concat(dataset, config):
-    """Train the feature-concatenation baseline whatever config.model_kind says."""
-    if config.model_kind != "concat":
-        config = replace(config, model_kind="concat")
-    return train(dataset, config)
 
 
 def evaluate(model, dataset):
@@ -432,128 +456,123 @@ def history_csv(model):
 
 # ---------------------------------------------------------------- checkpoints
 
-# Version 2 of the MAPC container: after the magic and version byte come a
-# model-kind byte and an adapter flag, then the u32 dims K, D, F, H, then the
-# kind's float64 blocks and, if flagged, the adapter blocks. History is a CSV
-# side artifact, not part of the checkpoint.
-_KIND_CODES = {"metaage": 0, "global": 1, "concat": 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-_V2_HEADER = struct.Struct("<4sBBB4I")
+# The MAPC container. Version 1 holds a bare generator: "MAPC", the version
+# byte, the u32 dims K, D, F, H and the generator's blocks. Version 2 holds a
+# TrainedModel: a model-kind byte and an adapter flag follow the version
+# byte, and the adapter's blocks follow the kind's when flagged. Blocks are
+# little-endian float64 in the kind's layout order. History is a CSV side
+# artifact, not part of the checkpoint.
+_HEADERS = {1: struct.Struct("<4sB4I"), 2: struct.Struct("<4sBBB4I")}
 
 
-def _model_blocks(model):
-    if model.kind == "metaage":
-        p = model.meta
-        blocks = [p.w_common, p.hidden.weight, p.hidden.bias, p.bn.gamma,
-                  p.bn.beta, p.bn.running_mean, p.bn.running_var,
-                  p.output.weight, p.output.bias]
-    elif model.kind == "global":
-        blocks = [model.table.weight]
-    else:
-        p = model.mlp
-        blocks = [p.hidden.weight, p.hidden.bias, p.bn.gamma, p.bn.beta,
-                  p.bn.running_mean, p.bn.running_var, p.output.weight,
-                  p.output.bias]
-    if model.adapter is not None:
-        blocks.extend([model.adapter.weight, model.adapter.bias])
+class CheckpointError(Exception):
+    """Raised with a byte offset when a checkpoint file cannot be decoded."""
+
+
+def _layout(kind, dims, adapter):
+    """The model's checkpoint blocks as (attribute path, shape), file order."""
+    spec = _KINDS[kind]
+    blocks = tuple((f"{spec.slot}.{name}", shape)
+                   for name, shape in spec.layout(dims))
+    if adapter:
+        d = dims.age_dim
+        blocks += (("adapter.weight", (d, d)), ("adapter.bias", (d,)))
     return blocks
 
 
-def _payload_bytes(kind, dims, adapter):
-    """Bytes of the kind's float64 blocks plus the adapter's, if flagged."""
-    k, dd, ff, hh = dims.n_classes, dims.age_dim, dims.id_dim, dims.hidden_dim
-    floats = {"metaage": _generator_floats(dims),
-              "global": k * dd,
-              "concat": hh * (dd + ff) + 5 * hh + k * hh + k}[kind]
-    if adapter:
-        floats += dd * dd + dd
-    return 8 * floats
+def _save(path, version, fields, model):
+    d = model.dims
+    with open(path, "wb") as fh:
+        fh.write(_HEADERS[version].pack(b"MAPC", version, *fields, d.n_classes,
+                                        d.age_dim, d.id_dim, d.hidden_dim))
+        for name, _ in _layout(model.kind, d, model.adapter is not None):
+            fh.write(np.ascontiguousarray(attrgetter(name)(model),
+                                          dtype="<f8").tobytes())
+
+
+def save_params(path, params):
+    """Version-1 checkpoint of a bare generator, without kind or adapter."""
+    _save(path, 1, (), TrainedModel(kind="metaage", dims=params.dims,
+                                    meta=params))
 
 
 def save_model(path, model):
-    d = model.dims
-    with open(path, "wb") as fh:
-        fh.write(_V2_HEADER.pack(b"MAPC", 2, _KIND_CODES[model.kind],
-                                 0 if model.adapter is None else 1,
-                                 d.n_classes, d.age_dim, d.id_dim, d.hidden_dim))
-        for arr in _model_blocks(model):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """Version-2 checkpoint of a model of any kind."""
+    _save(path, 2, (_KINDS[model.kind].code, model.adapter is not None), model)
+
+
+def _read_exact(fh, n, offset, what):
+    data = fh.read(n)
+    if len(data) != n:
+        raise CheckpointError(
+            f"truncated checkpoint at byte offset {offset}: "
+            f"needed {n} bytes for {what}, got {len(data)}")
+    return data
+
+
+def _load(path, version):
+    """Read a checkpoint of the given version into a TrainedModel.
+
+    The payload size follows from the header dims in Python ints, so a
+    forged header can neither overflow it nor make the reader allocate it:
+    the file must hold exactly that many bytes before a block is read.
+    """
+    header = _HEADERS[version]
+    with open(path, "rb") as fh:
+        magic, got, *fields, k, dd, ff, hh = header.unpack(
+            _read_exact(fh, header.size, 0, "the header"))
+        if magic != b"MAPC":
+            raise CheckpointError(f"bad magic {magic!r} at byte offset 0")
+        if got != version:
+            raise CheckpointError(f"unsupported version {got} at byte offset 4")
+        code, adapter = fields or (0, 0)  # version 1 holds a bare generator
+        kinds = {spec.code: kind for kind, spec in _KINDS.items()}
+        if code not in kinds:
+            raise CheckpointError(f"unknown model kind {code} at byte offset 5")
+        if adapter not in (0, 1):
+            raise CheckpointError(
+                f"adapter flag must be 0 or 1, got {adapter} at byte offset 6")
+        try:
+            dims = Dims(n_classes=k, age_dim=dd, id_dim=ff, hidden_dim=hh)
+        except ValueError as exc:
+            raise CheckpointError(f"invalid dims at byte offset "
+                                  f"{header.size - 16}: {exc}") from exc
+        kind = kinds[code]
+        layout = _layout(kind, dims, adapter)
+        offset = header.size
+        payload = 8 * sum(math.prod(shape) for _, shape in layout)
+        size = os.fstat(fh.fileno()).st_size
+        if size < offset + payload:
+            raise CheckpointError(
+                f"truncated checkpoint at byte offset {size}: the header declares "
+                f"{payload} payload bytes from byte offset {offset}, the file "
+                f"holds {size - offset}")
+        if size > offset + payload:
+            raise CheckpointError(f"trailing data at byte offset {offset + payload}")
+        data = _read_exact(fh, payload, offset, "the blocks")
+    spec = _KINDS[kind]
+    model = TrainedModel(kind=kind, dims=dims,
+                         adapter=init_adapter(dims) if adapter else None,
+                         **{spec.slot: spec.init(dims, 0)})
+    for name, shape in layout:
+        block = np.frombuffer(data, dtype="<f8", count=math.prod(shape),
+                              offset=offset - header.size).reshape(shape)
+        if not np.isfinite(block).all():
+            raise CheckpointError(
+                f"non-finite values in {name} block at byte offset {offset}")
+        if name.endswith("running_var") and (block < 0.0).any():
+            raise CheckpointError(f"invalid batch-norm state at byte offset "
+                                  f"{offset}: negative running variance")
+        attrgetter(name)(model)[...] = block
+        offset += block.nbytes
+    return model
+
+
+def load_params(path):
+    """Rebuild MetaLearnerParams from a version-1 checkpoint."""
+    return _load(path, 1).meta
 
 
 def load_model(path):
     """Rebuild a TrainedModel from a version-2 checkpoint. History starts empty."""
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, 0, "magic")
-        if magic != b"MAPC":
-            raise CheckpointError(f"bad magic {magic!r} at byte offset 0")
-        version = _read_exact(fh, 1, 4, "version")[0]
-        if version != 2:
-            raise CheckpointError(f"unsupported version {version} at byte offset 4")
-        kind_code = _read_exact(fh, 1, 5, "model kind")[0]
-        if kind_code not in _KIND_NAMES:
-            raise CheckpointError(f"unknown model kind {kind_code} at byte offset 5")
-        kind = _KIND_NAMES[kind_code]
-        adapter_flag = _read_exact(fh, 1, 6, "adapter flag")[0]
-        if adapter_flag not in (0, 1):
-            raise CheckpointError(
-                f"adapter flag must be 0 or 1, got {adapter_flag} at byte offset 6")
-        k, dd, ff, hh = struct.unpack("<4I", _read_exact(fh, 16, 7, "dims"))
-        try:
-            dims = Dims(n_classes=k, age_dim=dd, id_dim=ff, hidden_dim=hh)
-        except ValueError as exc:
-            raise CheckpointError(f"invalid dims at byte offset 7: {exc}") from exc
-        offset = _V2_HEADER.size
-        _check_payload(fh, offset, _payload_bytes(kind, dims, adapter_flag))
-
-        def block(shape, what):
-            nonlocal offset
-            start = offset
-            n = int(np.prod(shape)) * 8
-            data = _read_exact(fh, n, offset, what)
-            offset += n
-            arr = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
-            if not np.isfinite(arr).all():
-                raise CheckpointError(
-                    f"non-finite values in {what} block at byte offset {start}")
-            return arr
-
-        def read_bn():
-            start = offset
-            try:
-                return BatchNormLayer(gamma=block((hh,), "bn gamma"),
-                                      beta=block((hh,), "bn beta"),
-                                      running_mean=block((hh,), "bn running mean"),
-                                      running_var=block((hh,), "bn running var"))
-            except ValueError as exc:
-                raise CheckpointError(f"invalid batch-norm state at byte offset "
-                                      f"{start}: {exc}") from exc
-
-        meta = table = mlp = None
-        if kind == "metaage":
-            w_common = block((k, dd), "common weight table")
-            hidden = AffineLayer(weight=block((hh, dims.residual_in), "hidden weight"),
-                                 bias=block((hh,), "hidden bias"))
-            bn = read_bn()
-            output = AffineLayer(weight=block((dd, hh), "output weight"),
-                                 bias=block((dd,), "output bias"))
-            meta = MetaLearnerParams(w_common=w_common, hidden=hidden, bn=bn,
-                                     output=output, dims=dims)
-        elif kind == "global":
-            table = AffineLayer(weight=block((k, dd), "class weight table"),
-                                bias=np.zeros(k))
-        else:
-            hidden = AffineLayer(weight=block((hh, dd + ff), "hidden weight"),
-                                 bias=block((hh,), "hidden bias"))
-            bn = read_bn()
-            output = AffineLayer(weight=block((k, hh), "output weight"),
-                                 bias=block((k,), "output bias"))
-            mlp = ConcatParams(hidden=hidden, bn=bn, output=output, dims=dims)
-        adapter = None
-        if adapter_flag:
-            adapter = AffineLayer(weight=block((dd, dd), "adapter weight"),
-                                  bias=block((dd,), "adapter bias"))
-        trailing = fh.read(1)
-        if trailing:
-            raise CheckpointError(f"trailing data at byte offset {offset}")
-    return TrainedModel(kind=kind, dims=dims, meta=meta, table=table, mlp=mlp,
-                        adapter=adapter)
+    return _load(path, 2)

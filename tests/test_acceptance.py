@@ -30,13 +30,7 @@ from persage.data import (
 )
 from persage.losses import batch_loss, ord_loss
 from persage.mathcore import AffineLayer, grad_check
-from persage.metalearner import (
-    CheckpointError,
-    Dims,
-    init_params,
-    load_params,
-    save_params,
-)
+from persage.metalearner import Dims, init_params
 from persage.metrics import (
     cs,
     cs_curve,
@@ -47,16 +41,19 @@ from persage.metrics import (
     weight_embedding,
 )
 from persage.training import (
+    CheckpointError,
     TrainConfig,
     TrainedModel,
     evaluate,
     init_model,
     lambda_delta_sweep,
     load_model,
+    load_params,
     model_backward,
     model_forward,
     model_predict,
     save_model,
+    save_params,
     train,
 )
 

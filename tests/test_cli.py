@@ -7,7 +7,7 @@ import pytest
 
 import persage.cli
 from persage.cli import main
-from persage.data import read_features
+from persage.data import HEADER, read_features
 from persage.metrics import retrieve, weight_embedding
 from persage.training import load_model
 
@@ -211,7 +211,7 @@ def test_config_file_and_flag_override(workspace, tmp_path):
     assert doc["config"]["epochs"] == 1  # explicit flag wins
 
 
-def test_exit_codes(workspace, tmp_path):
+def test_exit_codes(workspace, tmp_path, capsys):
     assert run("synth", "--offset-max", "-1", "--out", str(tmp_path / "x")) == 2
     assert run("train", "--data", "missing.mafv1", "--out", str(tmp_path / "x")) == 1
     assert run("train", "--data", str(workspace / "data" / "train.mafv1"),
@@ -223,6 +223,12 @@ def test_exit_codes(workspace, tmp_path):
     assert run("eval", "--model", str(workspace / "data" / "train.mafv1"),
                "--data", str(workspace / "data" / "test.mafv1"),
                "--out", str(tmp_path / "x")) == 1  # data file is not a checkpoint
+    forged = tmp_path / "forged.mafv1"
+    forged.write_bytes(HEADER.pack(b"MAFV", 1, 1, 2**31, 6, 20))
+    capsys.readouterr()
+    assert run("eval", "--model", str(workspace / "run" / "model.mapc"),
+               "--data", str(forged), "--out", str(tmp_path / "x")) == 1
+    assert "byte offset" in capsys.readouterr().err
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("this is not key value\n")
     assert run("train", "--data", str(workspace / "data" / "train.mafv1"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from persage.data import (
+    HEADER,
     Dataset,
     FormatError,
     SynthConfig,
@@ -127,6 +128,17 @@ def test_parse_errors_carry_offsets(tmp_path):
     bad.write_bytes(bytes(corrupt))
     with pytest.raises(FormatError, match="offset 33"):
         read_features(bad)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("d, f", [(2**31, 1), (2**30, 2**30)])
+def test_forged_feature_dims_raise_format_error(tmp_path, n, d, f):
+    # records of 8 GiB: more than the file holds at N=1, and more than a
+    # numpy record dtype can describe at N=0, where the length matches
+    path = tmp_path / "forged.mafv1"
+    path.write_bytes(HEADER.pack(b"MAFV", 1, n, d, f, 10))
+    with pytest.raises(FormatError, match="byte offset"):
+        read_features(path)
 
 
 def test_empty_header_error(tmp_path):

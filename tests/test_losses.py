@@ -256,17 +256,27 @@ def test_hard_labels_match_hard_label_elementwise():
 # ---------------------------------------------------------------- batch helper
 
 def test_batch_loss_matches_per_sample_ops():
-    for seed in range(30):
-        rng = np.random.default_rng(seed)
-        b, k = int(rng.integers(1, 6)), int(rng.integers(2, 9))
-        scores = rng.normal(scale=3.0, size=(b, k))
-        labels = rng.integers(0, k, size=b).astype(np.float64)
-        config = LossConfig(lam=0.3, delta=1.5)
-        loss, grad = batch_loss(scores, labels, None, config)
-        per = [total_loss(scores[i], int(labels[i]), int(labels[i]), config)
-               for i in range(b)]
-        assert abs(loss - np.mean([p[0] for p in per])) < 1e-12
-        assert np.allclose(grad, np.stack([p[1] for p in per]) / b, atol=1e-12)
+    # integer labels, then fractional ones: halves, values that clamp to
+    # class 0 or K-1, and uniform draws; with and without the ordinal term
+    for lam in (0.3, 0.0):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            b, k = int(rng.integers(1, 6)), int(rng.integers(2, 9))
+            scores = rng.normal(scale=3.0, size=(b, k))
+            integer = rng.integers(0, k, size=b).astype(np.float64)
+            halves = rng.integers(0, 2 * k - 1, size=b) / 2.0
+            clamped = rng.choice([-1.7, -0.5, k - 0.5, k + 2.2], size=b)
+            uniform = rng.uniform(-1.0, k, size=b)
+            config = LossConfig(lam=lam, delta=1.5)
+            for labels in (integer, halves, clamped, uniform):
+                loss, grad = batch_loss(scores, labels, None, config)
+                # Python's round sends halves to even, as np.rint does
+                hard = [min(max(round(y), 0), k - 1) for y in labels]
+                per = [total_loss(scores[i], hard[i], hard[i], config)
+                       for i in range(b)]
+                assert abs(loss - np.mean([p[0] for p in per])) < 1e-12
+                assert np.allclose(grad, np.stack([p[1] for p in per]) / b,
+                                   atol=1e-12)
 
 
 def test_batch_loss_soft_mode_matches_per_sample_ops():

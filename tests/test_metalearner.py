@@ -17,7 +17,6 @@ from persage.mathcore import (
     relu_forward,
 )
 from persage.metalearner import (
-    CheckpointError,
     Dims,
     build_residual_input,
     generate_class_weight,
@@ -25,12 +24,11 @@ from persage.metalearner import (
     generate_weights_backward,
     generate_weights_batch,
     init_params,
-    load_params,
     one_hot,
     personal_scores,
     personal_scores_backward,
-    save_params,
 )
+from persage.training import CheckpointError, load_params, save_params
 
 
 def small_dims():

@@ -10,10 +10,11 @@ import pytest
 from persage.data import Dataset, SynthConfig, synth_generate
 from persage.losses import batch_loss
 from persage.mathcore import AffineLayer, affine_forward, grad_check
-from persage.metalearner import CheckpointError, Dims, init_params, load_params
+from persage.metalearner import Dims, init_params
 from persage.training import (
     MODEL_KINDS,
     AdamState,
+    CheckpointError,
     TrainConfig,
     TrainedModel,
     adam_step,
@@ -23,13 +24,13 @@ from persage.training import (
     init_model,
     lambda_delta_sweep,
     load_model,
+    load_params,
     model_backward,
     model_forward,
     model_predict,
     save_model,
     sweep_csv,
     train,
-    train_baseline_concat,
 )
 
 
@@ -215,32 +216,16 @@ def test_global_equals_zero_residual_metaage_after_one_step():
     assert abs(m_model.history[0][0] - g_model.history[0][0]) < 1e-10
 
 
-def test_nan_loss_aborts_with_context():
-    k, d, f = 4, 3, 2
-    n = 4
-    labels = np.zeros(n)
-    ds = Dataset(labels=labels, sigmas=np.full(n, np.nan),
-                 identity_ids=np.full(n, -1),
-                 age_feats=np.ones((n, d)), id_feats=np.zeros((n, f)),
-                 n_classes=k)
-    dims = Dims(n_classes=k, age_dim=d, id_dim=f, hidden_dim=4)
-    # class-0 weights large enough that the score sum overflows to -inf,
-    # putting the hit class at -inf and the cross-entropy at +inf
-    table = AffineLayer(weight=np.zeros((k, d)), bias=np.zeros(k))
-    table.weight[0] = -1.7e308
-    model = TrainedModel(kind="global", dims=dims, table=table)
-    cfg = TrainConfig(dims=dims, model_kind="global", epochs=1, batch_size=4,
-                      use_adapter=False)
-    with np.errstate(over="ignore"):
-        with pytest.raises(FloatingPointError, match="epoch 1, batch 0"):
-            train(ds, cfg, model=model)
-
-
-def test_train_baseline_concat_forces_kind():
-    ds = small_dataset()
-    model = train_baseline_concat(ds, quick_config(model_kind="metaage", epochs=1))
-    assert model.kind == "concat"
-    assert model.mlp is not None
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_nan_loss_aborts_with_context(kind):
+    # the first step at a divergent learning rate moves every weight by
+    # about 1e200, so the second batch's scores overflow; that must stop
+    # with the error naming epoch and batch, not deep inside the loss
+    cfg = quick_config(model_kind=kind, lr=1e200)
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError,
+                           match=rf"epoch 1, batch 1 \({kind} model\)"):
+            train(small_dataset(), cfg)
 
 
 def test_overfit_one_batch():
