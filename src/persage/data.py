@@ -19,6 +19,7 @@ followed by a read reproduces the dataset bit for bit.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -156,32 +157,36 @@ def write_features(path, dataset):
 
 def read_features(path):
     with open(path, "rb") as fh:
+        head = fh.read(HEADER.size)
+        if len(head) < HEADER.size:
+            raise FormatError(
+                f"truncated header at byte offset 0: needed {HEADER.size} "
+                f"bytes, got {len(head)}")
+        magic, version, n, d, f, k = HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r} at byte offset 0")
+        if version != 1:
+            raise FormatError(f"unsupported version {version} at byte offset 4")
+        if d < 1 or f < 1 or k < 1:
+            raise FormatError(f"invalid dims D={d}, F={f}, K={k} at byte offset 9")
+        # Python ints, so forged dims can neither overflow the sizes nor reach
+        # numpy, whose record dtypes must fit a C int; the file size is
+        # checked before any record is read
+        record = 12 + 4 * (d + f)
+        held = os.fstat(fh.fileno()).st_size - HEADER.size
+        if held != n * record:
+            raise FormatError(
+                f"record block at byte offset {HEADER.size}: expected "
+                f"{n * record} bytes for {n} records of {record}, got {held}")
+        if record > np.iinfo(np.intc).max:
+            raise FormatError(f"records of {record} bytes (D={d}, F={f}) at "
+                              f"byte offset 9 exceed the largest numpy record "
+                              f"dtype")
         raw = fh.read()
-    if len(raw) < HEADER.size:
-        raise FormatError(
-            f"truncated header at byte offset 0: needed {HEADER.size} bytes, "
-            f"got {len(raw)}")
-    magic, version, n, d, f, k = HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r} at byte offset 0")
-    if version != 1:
-        raise FormatError(f"unsupported version {version} at byte offset 4")
-    if d < 1 or f < 1 or k < 1:
-        raise FormatError(f"invalid dims D={d}, F={f}, K={k} at byte offset 9")
-    # Python ints, so forged dims can neither overflow the sizes nor reach
-    # numpy, whose record dtypes must fit a C int
-    record = 12 + 4 * (d + f)
-    expected = HEADER.size + n * record
-    if len(raw) != expected:
-        raise FormatError(
-            f"record block at byte offset {HEADER.size}: expected "
-            f"{expected - HEADER.size} bytes for {n} records of "
-            f"{record}, got {len(raw) - HEADER.size}")
-    if record > np.iinfo(np.intc).max:
-        raise FormatError(f"records of {record} bytes (D={d}, F={f}) at byte "
-                          f"offset 9 exceed the largest numpy record dtype")
-    rec = np.frombuffer(raw, dtype=_record_dtype(d, f), count=n,
-                        offset=HEADER.size)
+    if len(raw) != held:
+        raise FormatError(f"record block at byte offset {HEADER.size}: the "
+                          f"file changed size while it was read")
+    rec = np.frombuffer(raw, dtype=_record_dtype(d, f), count=n)
 
     def record_offset(i):
         return HEADER.size + i * record

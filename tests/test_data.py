@@ -1,5 +1,7 @@
 """Format round trips, parse errors with offsets, generator and oracle checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,21 @@ def test_forged_feature_dims_raise_format_error(tmp_path, n, d, f):
     path.write_bytes(HEADER.pack(b"MAFV", 1, n, d, f, 10))
     with pytest.raises(FormatError, match="byte offset"):
         read_features(path)
+
+
+def test_oversized_feature_file_refused_before_reading(tmp_path):
+    # the header declares one 32-byte record; the 8 MiB behind it must be
+    # refused from the file size alone, not read first
+    path = tmp_path / "big.mafv1"
+    path.write_bytes(HEADER.pack(b"MAFV", 1, 1, 3, 2, 5) + bytes(8 * 2**20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="byte offset 21"):
+            read_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_empty_header_error(tmp_path):
