@@ -12,8 +12,8 @@ Run: python3 demos/loss_anatomy.py
 
 import numpy as np
 
-from persage.losses import (LossConfig, batch_loss, cls_loss,
-                            encode_label_distribution, hard_label, ord_loss)
+from persage.losses import (LossConfig, batch_loss, encode_label_distribution,
+                            hard_labels, ord_loss)
 from persage.mathcore import grad_check
 from persage.metalearner import Dims
 from persage.training import (TrainConfig, init_model, model_backward,
@@ -51,13 +51,17 @@ def main():
     print(f"  ordinal loss = {loss:.4f}")
     print()
 
-    hard = hard_label(y, k)
+    hard = hard_labels([y], k)[0]
     soft = encode_label_distribution(y, sigma=1.0, k=k)
     print("classification targets for the same label:")
     print(f"  hard class index:    {hard}")
     print("  discretized normal:  ", np.array2string(soft, precision=3))
+    # the batch loss on one row at lam=0 is that row's cross-entropy
+    ce = {mode: batch_loss(scores[None, :], [y], [1.0],
+                           LossConfig(lam=0.0, target_mode=mode))[0]
+          for mode in ("hard_onehot", "label_distribution")}
     print(f"  cross-entropy on the well-shaped scores: hard "
-          f"{cls_loss(scores, hard)[0]:.4f}, soft {cls_loss(scores, soft)[0]:.4f}")
+          f"{ce['hard_onehot']:.4f}, soft {ce['label_distribution']:.4f}")
     print()
 
     config = LossConfig(lam=0.5, delta=delta, target_mode="hard_onehot")

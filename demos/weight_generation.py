@@ -11,7 +11,8 @@ Run: python3 demos/weight_generation.py
 
 import numpy as np
 
-from persage.estimator import predict
+from persage.estimator import expected_ages
+from persage.mathcore import softmax
 from persage.metalearner import Dims, generate_weights, init_params
 
 
@@ -59,13 +60,14 @@ def main():
           np.array2string(row_norms(res)[:6], precision=3))
     print()
 
-    # one forward pass through the whole stack for person a
+    # person a's own weights score a random age feature; the softmax
+    # expectation of those scores is the predicted age
     age_feat = rng.normal(size=dims.age_dim)
-    dist = predict(params, h_a, age_feat)
-    print(f"predict() for person a on a random age feature: expected age "
-          f"{dist.expected_age:.2f}, argmax class {int(dist.probs.argmax())}")
+    probs = softmax(w_a @ age_feat)
+    print(f"person a's weights on a random age feature: expected age "
+          f"{expected_ages(probs):.2f}, argmax class {int(probs.argmax())}")
     print("(untrained parameters, so the distribution is near uniform:",
-          f"max prob {dist.probs.max():.3f})")
+          f"max prob {probs.max():.3f})")
     print()
 
     # freeze the residual output at zero: the generator degenerates into

@@ -1,19 +1,19 @@
 """Per-person age estimators produced by a residual weight generator.
 
 The pieces, bottom to top: ``mathcore`` (affine/batch-norm/ReLU layers with
-manual gradients and a finite-difference checker), ``estimator`` (scores,
-softmax expectation decoding), ``losses`` (joint cross-entropy + ordinal
-hinge), ``metalearner`` (the residual generator mapping identity features to
-K x D classifier weights), ``data`` (binary feature files and a synthetic
-benchmark with analytic error floors), ``metrics`` (MAE / cumulative score /
+manual gradients and a finite-difference checker), ``estimator`` (batched
+class scores, expectation decoding), ``losses`` (the batched joint
+cross-entropy + ordinal hinge loss), ``metalearner`` (the residual generator
+mapping identity features to K x D classifier weights, and the score head
+that uses them), ``data`` (binary feature files and a synthetic benchmark
+with analytic error floors), ``metrics`` (MAE / cumulative score /
 sigma-weighted error, weight-space retrieval), ``training`` (Adam loop for
-the generator and its global / concatenation baselines, and the checkpoint
-files), and ``cli``.
+the generator and its global / concatenation baselines, batched eval-mode
+prediction, and the checkpoint files), and ``cli``.
 """
 
 from .data import (
     Dataset,
-    FeatureRecord,
     FormatError,
     SynthConfig,
     SynthOracle,
@@ -25,15 +25,8 @@ from .data import (
     synth_generate,
     write_features,
 )
-from .estimator import (
-    AgeDistribution,
-    age_distribution,
-    class_scores,
-    class_scores_batch,
-    expected_ages,
-    predict,
-)
-from .losses import LossConfig, batch_loss, cls_loss, hinge, ord_loss, total_loss
+from .estimator import class_scores_batch, expected_ages
+from .losses import LossConfig, batch_loss, ord_loss
 from .mathcore import (
     AffineLayer,
     BatchNormLayer,
@@ -45,7 +38,6 @@ from .mathcore import (
 from .metalearner import (
     Dims,
     MetaLearnerParams,
-    generate_class_weight,
     generate_weights,
     generate_weights_batch,
     init_params,
@@ -72,9 +64,11 @@ from .training import (
     TrainedModel,
     adam_step,
     evaluate,
+    init_model,
     lambda_delta_sweep,
     load_model,
     load_params,
+    model_predict,
     save_model,
     save_params,
     train,
@@ -83,18 +77,16 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "AffineLayer", "AgeDistribution", "BatchNormLayer",
-    "CheckpointError", "Dataset", "Dims", "EvalResult", "FeatureRecord",
-    "FormatError", "GradCheckReport", "LossConfig", "MetaLearnerParams",
-    "RetrievalResult", "SynthConfig", "SynthOracle", "TrainConfig",
-    "TrainedModel", "adam_step", "age_distribution", "batch_loss", "batches",
-    "class_scores", "class_scores_batch", "cls_loss", "compute_oracle", "cs",
-    "cs_curve", "eps_error", "eval_result", "evaluate", "expected_ages",
-    "generate_class_weight", "generate_weights", "generate_weights_batch",
-    "grad_check", "hinge", "init_affine", "init_params", "lambda_delta_sweep",
-    "load_model", "load_params", "mae", "ord_loss", "personal_scores",
-    "personal_scores_backward", "predict", "read_features",
-    "retrieve", "save_model", "save_params", "slice_agreement", "split",
-    "subset", "synth_generate", "total_loss", "train", "weight_embedding",
-    "weight_embeddings", "write_features",
+    "AdamState", "AffineLayer", "BatchNormLayer", "CheckpointError",
+    "Dataset", "Dims", "EvalResult", "FormatError", "GradCheckReport",
+    "LossConfig", "MetaLearnerParams", "RetrievalResult", "SynthConfig",
+    "SynthOracle", "TrainConfig", "TrainedModel", "adam_step", "batch_loss",
+    "batches", "class_scores_batch", "compute_oracle", "cs", "cs_curve",
+    "eps_error", "eval_result", "evaluate", "expected_ages",
+    "generate_weights", "generate_weights_batch", "grad_check", "init_affine",
+    "init_model", "init_params", "lambda_delta_sweep", "load_model",
+    "load_params", "mae", "model_predict", "ord_loss", "personal_scores",
+    "personal_scores_backward", "read_features", "retrieve", "save_model",
+    "save_params", "slice_agreement", "split", "subset", "synth_generate",
+    "train", "weight_embedding", "weight_embeddings", "write_features",
 ]

@@ -32,6 +32,7 @@ from .data import (
 from .metalearner import Dims
 from .metrics import retrieve, slice_agreement, weight_embeddings
 from .training import (
+    MODEL_KINDS,
     CheckpointError,
     TrainConfig,
     evaluate,
@@ -218,7 +219,7 @@ def cmd_eval(args):
     json_path = _write_text(os.path.join(args.out, "eval.json"), result.to_json())
     csv_path = _write_text(os.path.join(args.out, "cs_curve.csv"), result.cs_csv())
     outputs = [json_path, csv_path]
-    conf = {"model": args.model, "data": args.data, "theta_max": args.theta_max}
+    conf = {"model": args.model, "data": args.data}
     outputs.append(_write_manifest(args.out, "eval", conf, None, started, outputs))
     eps = "n/a" if result.eps_error is None else _fmt(result.eps_error)
     print(f"mae {_fmt(result.mae)}, cs(5) {_fmt(dict(result.cs_curve).get(5, 0.0))}, "
@@ -323,8 +324,7 @@ def cmd_retrieve(args):
 # --------------------------------------------------------------------- parser
 
 def _add_train_flags(sub):
-    sub.add_argument("--model", choices=("metaage", "global", "concat"),
-                     default="metaage")
+    sub.add_argument("--model", choices=MODEL_KINDS, default="metaage")
     sub.add_argument("--hidden", type=int, default=64)
     sub.add_argument("--epochs", type=int, default=60)
     sub.add_argument("--batch", type=int, default=64)
@@ -376,7 +376,6 @@ def build_parser():
     evalp.add_argument("--model", required=True)
     evalp.add_argument("--data", required=True)
     evalp.add_argument("--out", required=True)
-    evalp.add_argument("--theta-max", type=int, default=10)
     evalp.set_defaults(func=cmd_eval)
 
     sweep = commands.add_parser("sweep", help="grid of loss weights")

@@ -1,9 +1,8 @@
 """Datasets, the bit-exact feature file format, and the synthetic benchmark.
 
 A dataset is stored as one array per field rather than a list of record
-objects; per-record views are available through ``record``/``records``. All
-arrays are read-only after construction so nothing downstream can mutate
-training data in place.
+objects. All arrays are read-only after construction so nothing downstream
+can mutate training data in place.
 
 File format (extension-agnostic, magic "MAFV", version 1):
   bytes 0-3   ASCII "MAFV"
@@ -35,19 +34,11 @@ class FormatError(Exception):
 
 
 @dataclass
-class FeatureRecord:
-    """One sample: label on the class-index scale, optional annotation spread,
-    optional identity tag (diagnostics only, never a training input)."""
-
-    label: float
-    sigma: float | None
-    identity_id: int | None
-    age_feat: np.ndarray
-    id_feat: np.ndarray
-
-
-@dataclass
 class Dataset:
+    """Samples as rows: a label on the class-index scale, an optional
+    annotation spread, an optional identity tag (diagnostics only, never a
+    training input), age features and identity features."""
+
     labels: np.ndarray        # (N,) float64, each in [0, K-1]
     sigmas: np.ndarray        # (N,) float64, NaN where absent
     identity_ids: np.ndarray  # (N,) int64, -1 where absent
@@ -98,20 +89,6 @@ class Dataset:
     @property
     def id_dim(self):
         return self.id_feats.shape[1]
-
-    def record(self, i):
-        sigma = self.sigmas[i]
-        identity = self.identity_ids[i]
-        return FeatureRecord(
-            label=float(self.labels[i]),
-            sigma=None if np.isnan(sigma) else float(sigma),
-            identity_id=None if identity < 0 else int(identity),
-            age_feat=self.age_feats[i],
-            id_feat=self.id_feats[i],
-        )
-
-    def records(self):
-        return (self.record(i) for i in range(len(self)))
 
     def has_all_sigmas(self):
         return len(self) > 0 and not np.isnan(self.sigmas).any()
@@ -260,6 +237,8 @@ class SynthConfig:
             raise ValueError("feature_noise must be >= 0")
         if self.rbf_width <= 0.0:
             raise ValueError("rbf_width must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -1,37 +1,14 @@
-"""Age prediction head: bias-free class scores, softmax, expectation decoding.
+"""Age prediction head: bias-free class scores and expectation decoding.
 
 The head is deliberately bias-free: each class score is a plain inner product
 between that class's weight row and the age-feature vector, so a weight matrix
-is the entire head. Ages are decoded as the expectation of the class
-distribution, never by rounding.
+is the entire head. Ages are decoded as the expectation of the softmax class
+distribution, ``expected_ages(softmax(scores))``, never by rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .mathcore import softmax
-
-
-@dataclass
-class AgeDistribution:
-    probs: np.ndarray       # (K,) probabilities
-    expected_age: float     # sum_k k * probs[k], in [0, K-1]
-
-
-def class_scores(weights, age_feat):
-    """scores[i] = <weights row i, age_feat>. weights: (K, D), age_feat: (D,)."""
-    weights = np.asarray(weights, dtype=np.float64)
-    age_feat = np.asarray(age_feat, dtype=np.float64)
-    if weights.ndim != 2:
-        raise ValueError(f"weight matrix must be 2-D, got shape {weights.shape}")
-    if age_feat.shape != (weights.shape[1],):
-        raise ValueError(
-            f"age features have shape {age_feat.shape}, expected ({weights.shape[1]},)"
-        )
-    return weights @ age_feat
 
 
 def class_scores_batch(weights_batch, age_feats):
@@ -55,27 +32,3 @@ def expected_ages(probs):
     probs = np.asarray(probs, dtype=np.float64)
     k = np.arange(probs.shape[-1], dtype=np.float64)
     return probs @ k
-
-
-def age_distribution(scores):
-    """Softmax over class scores plus the expected age of the result."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError(f"scores must be a vector, got shape {scores.shape}")
-    probs = softmax(scores)
-    k = np.arange(scores.shape[0], dtype=np.float64)
-    return AgeDistribution(probs=probs, expected_age=float(probs @ k))
-
-
-def argmax_class(scores):
-    """Highest-scoring class index. Diagnostic only; metrics use expectations."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return int(np.argmax(scores))
-
-
-def predict(params, id_feat, age_feat):
-    """Full pipeline for one sample: generate weights (eval mode), score, decode."""
-    from .metalearner import generate_weights
-
-    weights = generate_weights(params, id_feat, mode="eval")
-    return age_distribution(class_scores(weights, age_feat))

@@ -37,39 +37,6 @@ def _log_softmax_parts(scores):
     return lse
 
 
-def cls_loss(scores, target):
-    """Cross-entropy of softmax(scores) against a class index or a distribution.
-
-    Returns (loss, grad_scores) with grad = softmax(scores) - target.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError(f"scores must be a vector, got shape {scores.shape}")
-    k = scores.shape[0]
-    probs = softmax(scores)
-    lse = float(_log_softmax_parts(scores)[..., 0])
-    if np.isscalar(target) or np.ndim(target) == 0:
-        y = int(target)
-        if not 0 <= y < k:
-            raise ValueError(f"class index {y} out of range for K={k}")
-        loss = lse - float(scores[y])
-        grad = probs.copy()
-        grad[y] -= 1.0
-        return loss, grad
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != scores.shape:
-        raise ValueError(f"target shape {t.shape} != scores shape {scores.shape}")
-    if np.any(t < 0.0) or abs(t.sum() - 1.0) > 1e-6:
-        raise ValueError("soft target must be non-negative and sum to 1")
-    loss = lse - float(t @ scores)
-    return loss, probs - t
-
-
-def hinge(z, z_prime, delta):
-    """max(0, delta - (z - z_prime)): zero once z leads z_prime by the margin."""
-    return max(0.0, float(delta) - (float(z) - float(z_prime)))
-
-
 def ord_loss(scores, y, delta):
     """Margin penalty for non-unimodal score vectors; zero iff scores rise by
     >= delta up to class y and fall by >= delta afterwards.
@@ -98,15 +65,6 @@ def ord_loss(scores, y, delta):
     return loss, grad
 
 
-def total_loss(scores, target, y_hard, config):
-    """cls_loss + lam * ord_loss, gradients combined linearly."""
-    closs, cgrad = cls_loss(scores, target)
-    if config.lam == 0.0:
-        return closs, cgrad
-    oloss, ograd = ord_loss(scores, y_hard, config.delta)
-    return closs + config.lam * oloss, cgrad + config.lam * ograd
-
-
 def encode_label_distribution(y_mean, sigma, k):
     """Discretized Gaussian over classes 0..K-1, normalized to sum 1."""
     sigma = float(sigma)
@@ -117,11 +75,6 @@ def encode_label_distribution(y_mean, sigma, k):
     expo -= expo.max()  # keep at least one term at exp(0)=1
     t = np.exp(expo)
     return t / t.sum()
-
-
-def hard_label(y_mean, k):
-    """Nearest class index to a possibly fractional label, clamped to range."""
-    return int(hard_labels([y_mean], k)[0])
 
 
 def hard_labels(labels, k):
@@ -140,8 +93,9 @@ def batch_loss(scores, labels, sigmas, config):
     """Mean total loss over a batch plus grad_scores, vectorized.
 
     scores: (B, K); labels: (B,) possibly fractional; sigmas: (B,) or None,
-    required (finite, > 0) when target_mode is label_distribution. Matches the
-    per-sample ops exactly: mean of total_loss over rows, grads scaled by 1/B.
+    required (finite, > 0) when target_mode is label_distribution. The loss is
+    the mean over rows of cross-entropy plus lam times ``ord_loss`` at the
+    row's ``hard_labels`` class; the gradient rows are scaled by 1/B.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)

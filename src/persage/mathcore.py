@@ -92,7 +92,6 @@ class BatchNormLayer:
     running_var: np.ndarray
     momentum: float = 0.1
     epsilon: float = 1e-5
-    mode: str = "train"
     grad_gamma: np.ndarray = field(init=False)
     grad_beta: np.ndarray = field(init=False)
 
@@ -134,17 +133,16 @@ class BatchNormCache:
     inv_std: np.ndarray
 
 
-def batchnorm_forward(x, layer, mode=None, update_running=True):
+def batchnorm_forward(x, layer, mode):
     """Returns (y, cache). cache is None in eval mode.
 
-    Train mode normalizes with batch statistics (biased variance) and, when
-    update_running is set, folds them into the running estimates with
-    ``running = (1-momentum)*running + momentum*batch``. Eval mode uses the
-    running statistics and never mutates the layer. Passing ``mode``
-    overrides ``layer.mode`` without touching it.
+    Train mode normalizes with batch statistics (biased variance) and folds
+    them into the running estimates with
+    ``running = (1-momentum)*running + momentum*batch``; its output never
+    reads the running statistics. Eval mode uses the running statistics and
+    never mutates the layer. ``mode`` is "train" or "eval".
     """
     x = _as_batch(x, layer.width)
-    mode = layer.mode if mode is None else mode
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval":
@@ -155,10 +153,9 @@ def batchnorm_forward(x, layer, mode=None, update_running=True):
         raise ValueError("train-mode batch normalization needs batch >= 2")
     mean = x.mean(axis=0)
     var = x.var(axis=0)
-    if update_running:
-        m = layer.momentum
-        layer.running_mean[:] = (1.0 - m) * layer.running_mean + m * mean
-        layer.running_var[:] = (1.0 - m) * layer.running_var + m * var
+    m = layer.momentum
+    layer.running_mean[:] = (1.0 - m) * layer.running_mean + m * mean
+    layer.running_var[:] = (1.0 - m) * layer.running_var + m * var
     inv_std = 1.0 / np.sqrt(var + layer.epsilon)
     x_hat = (x - mean) * inv_std
     return layer.gamma * x_hat + layer.beta, BatchNormCache(x_hat=x_hat, inv_std=inv_std)

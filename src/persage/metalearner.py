@@ -34,8 +34,7 @@ Scores need no weight matrix either: with hid[b, i] the hidden row and g_b
 the age features, score[b, i] = g_b . w_common[i] + hid[b, i] . (g_b W_out).
 Training and evaluation go through ``personal_scores``, so they never build
 the (B, K, D) personalized weights; ``generate_weights_batch`` builds them
-only for callers that want the matrices themselves. ``generate_class_weight``
-keeps the explicit one-row form, through ``mathcore``'s row-wise batch norm.
+only for callers that want the matrices themselves.
 """
 
 from __future__ import annotations
@@ -48,10 +47,8 @@ from .mathcore import (
     AffineLayer,
     BatchNormLayer,
     affine_forward,
-    batchnorm_forward,
     init_affine,
     init_batchnorm,
-    relu_forward,
 )
 
 
@@ -126,24 +123,6 @@ def init_params(dims, seed):
                              output=output, dims=dims)
 
 
-def one_hot(i, k):
-    i = int(i)
-    if not 0 <= i < k:
-        raise ValueError(f"class index {i} out of range for K={k}")
-    v = np.zeros(k)
-    v[i] = 1.0
-    return v
-
-
-def build_residual_input(id_feat, w_common_row, i, k):
-    """Concatenate [identity features, common row, one-hot class] in that order."""
-    id_feat = np.asarray(id_feat, dtype=np.float64)
-    w_common_row = np.asarray(w_common_row, dtype=np.float64)
-    if id_feat.ndim != 1 or w_common_row.ndim != 1:
-        raise ValueError("identity features and weight row must be vectors")
-    return np.concatenate([id_feat, w_common_row, one_hot(i, k)])
-
-
 def _check_ids(params, id_feats):
     d = params.dims
     id_feats = np.asarray(id_feats, dtype=np.float64)
@@ -171,7 +150,7 @@ def _hidden_forward(params, id_feats, mode):
     (gamma inv (P - mean P))[b] + (gamma inv (T - mean T) + beta)[i], and
     ReLU runs in place on that one broadcast sum. The cache keeps the
     centred terms and inv in train mode; in eval mode it keeps None there,
-    which the backward functions refuse. mode None means params.bn.mode.
+    which the backward functions refuse.
     """
     d = params.dims
     f, dd = d.id_dim, d.age_dim
@@ -179,7 +158,6 @@ def _hidden_forward(params, id_feats, mode):
     w = params.hidden.weight
     person = id_feats @ w[:, :f].T                                      # (B, H)
     table = params.w_common @ w[:, f:f + dd].T + w[:, f + dd:].T + params.hidden.bias
-    mode = bn.mode if mode is None else mode
     if mode == "train":
         if id_feats.shape[0] * d.n_classes < 2:
             raise ValueError("train-mode batch normalization needs batch >= 2")
@@ -333,12 +311,3 @@ def generate_weights(params, id_feat, mode="eval"):
     weights, _ = generate_weights_batch(params, id_feat[None, :], mode)
     return weights[0]
 
-
-def generate_class_weight(params, id_feat, i, mode="eval"):
-    """Single personalized row, from the explicit [h | common row | one-hot] input."""
-    d = params.dims
-    x = build_residual_input(np.asarray(id_feat, dtype=np.float64),
-                             params.w_common[int(i)], i, d.n_classes)
-    pre = affine_forward(x[None, :], params.hidden)
-    hidden = relu_forward(batchnorm_forward(pre, params.bn, mode=mode)[0])
-    return params.w_common[int(i)] + affine_forward(hidden, params.output)[0]

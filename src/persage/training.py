@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}, "
                              f"got {self.model_kind!r}")
@@ -319,13 +321,20 @@ def model_backward(model, grad_scores, cache):
         affine_backward(grad_g, raw, model.adapter)
 
 
-def model_predict(model, age_feats, id_feats, chunk=512):
-    """Expected ages in eval mode, computed in bounded-memory chunks."""
+_PREDICT_CHUNK = 512  # samples per eval-mode model_forward call
+
+
+def model_predict(model, age_feats, id_feats):
+    """Expected ages in eval mode, _PREDICT_CHUNK samples at a time.
+
+    Eval mode makes each sample independent of the rest of its chunk, so the
+    chunking bounds memory and moves a prediction by rounding at most.
+    """
     age_feats = np.asarray(age_feats, dtype=np.float64)
     id_feats = np.asarray(id_feats, dtype=np.float64)
     out = []
-    for start in range(0, age_feats.shape[0], chunk):
-        stop = start + chunk
+    for start in range(0, age_feats.shape[0], _PREDICT_CHUNK):
+        stop = start + _PREDICT_CHUNK
         scores, _ = model_forward(model, age_feats[start:stop],
                                   id_feats[start:stop], mode="eval")
         out.append(expected_ages(softmax(scores)))

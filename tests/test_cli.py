@@ -102,6 +102,10 @@ def test_eval_outputs_schema(workspace, tmp_path):
     csv = (out / "cs_curve.csv").read_text().strip().splitlines()
     assert csv[0] == "theta,cs"
     assert len(csv) == 12  # theta 0..10
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {
+        "model": str(workspace / "run" / "model.mapc"),
+        "data": str(workspace / "data" / "test.mafv1")}
 
 
 def test_sweep_csv(workspace, tmp_path):
@@ -220,6 +224,15 @@ def test_exit_codes(workspace, tmp_path, capsys):
                "--lambdas", "", "--deltas", "2", "--out", str(tmp_path / "x"),
                *FAST_TRAIN) == 2
     assert run("nonsense") == 2
+    assert run("eval", "--model", str(workspace / "run" / "model.mapc"),
+               "--data", str(workspace / "data" / "test.mafv1"),
+               "--theta-max", "3", "--out", str(tmp_path / "x")) == 2
+    # a negative seed is a bad flag value, refused before --out is made
+    assert run("train", "--data", str(workspace / "data" / "train.mafv1"),
+               "--seed", "-1", "--out", str(tmp_path / "neg_train")) == 2
+    assert run("synth", "--seed", "-3", "--out", str(tmp_path / "neg_synth")) == 2
+    assert not (tmp_path / "neg_train").exists()
+    assert not (tmp_path / "neg_synth").exists()
     assert run("eval", "--model", str(workspace / "data" / "train.mafv1"),
                "--data", str(workspace / "data" / "test.mafv1"),
                "--out", str(tmp_path / "x")) == 1  # data file is not a checkpoint

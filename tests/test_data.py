@@ -56,14 +56,13 @@ def test_dataset_validation():
 
 
 def test_record_view():
+    # a record is one row of every field; absent values are NaN and -1
     ds = tiny_dataset(with_sigma=False, with_identity=False)
-    rec = ds.record(0)
-    assert rec.sigma is None and rec.identity_id is None
-    assert rec.age_feat.shape == (5,)
+    assert np.isnan(ds.sigmas[0]) and ds.identity_ids[0] == -1
+    assert ds.age_feats[0].shape == (5,)
     ds2 = tiny_dataset()
-    recs = list(ds2.records())
-    assert len(recs) == 6
-    assert recs[2].label == ds2.labels[2]
+    assert len(ds2) == 6
+    assert not np.isnan(ds2.sigmas).any() and (ds2.identity_ids >= 0).all()
     assert ds2.has_all_sigmas() and not ds.has_all_sigmas()
 
 
@@ -216,6 +215,8 @@ def test_synth_config_validation():
         SynthConfig(feature_noise=-0.1)
     with pytest.raises(ValueError):
         SynthConfig(rbf_width=0.0)
+    with pytest.raises(ValueError, match="seed"):
+        SynthConfig(seed=-3)
 
 
 # ---------------------------------------------------------------- oracle

@@ -6,15 +6,52 @@ import pytest
 from persage.losses import (
     LossConfig,
     batch_loss,
-    cls_loss,
     encode_label_distribution,
-    hard_label,
     hard_labels,
-    hinge,
     ord_loss,
-    total_loss,
 )
 from persage.mathcore import grad_check, softmax
+
+
+# ------------------------------------------------- per-sample reference loss
+
+def cls_loss(scores, target):
+    """Cross-entropy of softmax(scores) against a class index or a distribution.
+
+    Returns (loss, grad_scores) with grad = softmax(scores) - target. One row
+    at a time, the reference ``batch_loss`` is tested against.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ValueError(f"scores must be a vector, got shape {scores.shape}")
+    k = scores.shape[0]
+    probs = softmax(scores)
+    m = scores.max()
+    lse = float(m + np.log(np.exp(scores - m).sum()))
+    if np.isscalar(target) or np.ndim(target) == 0:
+        y = int(target)
+        if not 0 <= y < k:
+            raise ValueError(f"class index {y} out of range for K={k}")
+        loss = lse - float(scores[y])
+        grad = probs.copy()
+        grad[y] -= 1.0
+        return loss, grad
+    t = np.asarray(target, dtype=np.float64)
+    if t.shape != scores.shape:
+        raise ValueError(f"target shape {t.shape} != scores shape {scores.shape}")
+    if np.any(t < 0.0) or abs(t.sum() - 1.0) > 1e-6:
+        raise ValueError("soft target must be non-negative and sum to 1")
+    loss = lse - float(t @ scores)
+    return loss, probs - t
+
+
+def total_loss(scores, target, y_hard, config):
+    """cls_loss + lam * ord_loss, gradients combined linearly."""
+    closs, cgrad = cls_loss(scores, target)
+    if config.lam == 0.0:
+        return closs, cgrad
+    oloss, ograd = ord_loss(scores, y_hard, config.delta)
+    return closs + config.lam * oloss, cgrad + config.lam * ograd
 
 
 # ---------------------------------------------------------------- cls_loss
@@ -73,14 +110,7 @@ def test_cls_loss_gradient_matches_finite_differences():
         assert report.passed, str(report)
 
 
-# ---------------------------------------------------------------- hinge / ord
-
-def test_hinge_hand_cases():
-    assert hinge(5.0, 3.0, 2.0) == 0.0
-    assert hinge(3.0, 3.0, 2.0) == 2.0
-    for z in (-4.0, 0.0, 7.5):
-        assert hinge(z, z, 0.0) == 0.0
-
+# ---------------------------------------------------------------- ord_loss
 
 def test_ord_loss_hand_cases():
     # slack on both sides
@@ -219,10 +249,7 @@ def test_encode_label_distribution_properties():
 
 
 def test_hard_label_rounds_and_clamps():
-    assert hard_label(3.4, 10) == 3
-    assert hard_label(3.6, 10) == 4
-    assert hard_label(-2.0, 10) == 0
-    assert hard_label(12.7, 10) == 9
+    assert hard_labels([3.4, 3.6, -2.0, 12.7], 10).tolist() == [3, 4, 0, 9]
 
 
 def test_hard_labels_match_hard_label_elementwise():
@@ -237,7 +264,8 @@ def test_hard_labels_match_hard_label_elementwise():
     got = hard_labels(labels, k)
     assert got.dtype.kind == "i"
     assert np.array_equal(got, expected)
-    assert [hard_label(v, k) for v in labels] == expected.tolist()
+    # one label at a time gives the same classes
+    assert [int(hard_labels([v], k)[0]) for v in labels] == expected.tolist()
     assert hard_labels(np.array([0.5, 1.5, 2.5]), k).tolist() == [0, 2, 2]
     config = LossConfig(lam=0.3, delta=1.5)
     scores = np.random.default_rng(1).normal(scale=3.0, size=(labels.size, k))
@@ -287,10 +315,11 @@ def test_batch_loss_soft_mode_matches_per_sample_ops():
     sigmas = rng.uniform(0.5, 3.0, size=b)
     config = LossConfig(lam=0.2, delta=2.0, target_mode="label_distribution")
     loss, grad = batch_loss(scores, labels, sigmas, config)
+    hard = hard_labels(labels, k)
     per = []
     for i in range(b):
         t = encode_label_distribution(labels[i], sigmas[i], k)
-        per.append(total_loss(scores[i], t, hard_label(labels[i], k), config))
+        per.append(total_loss(scores[i], t, hard[i], config))
     assert abs(loss - np.mean([p[0] for p in per])) < 1e-12
     assert np.allclose(grad, np.stack([p[1] for p in per]) / b, atol=1e-12)
 

@@ -124,18 +124,18 @@ def test_batchnorm_eval_does_not_mutate():
     assert np.array_equal(layer.running_var, var_before)
 
 
-def test_batchnorm_update_running_flag():
-    layer = init_batchnorm(2)
-    batchnorm_forward(np.array([[1.0, 2.0], [3.0, 4.0]]), layer, mode="train",
-                      update_running=False)
-    assert np.array_equal(layer.running_mean, np.zeros(2))
-    assert np.array_equal(layer.running_var, np.ones(2))
-
-
 def test_batchnorm_train_needs_batch_of_two():
     layer = init_batchnorm(2)
     with pytest.raises(ValueError):
         batchnorm_forward(np.ones((1, 2)), layer, mode="train")
+
+
+def test_batchnorm_mode_is_required():
+    layer = init_batchnorm(2)
+    for mode in ("Train", None):
+        with pytest.raises(ValueError, match="mode"):
+            batchnorm_forward(np.ones((3, 2)), layer, mode=mode)
+    assert np.array_equal(layer.running_mean, np.zeros(2))
 
 
 def test_batchnorm_normalizes_train_batches():
@@ -146,7 +146,7 @@ def test_batchnorm_normalizes_train_batches():
         batch = int(rng.integers(2, 40))
         layer = init_batchnorm(width)
         x = rng.normal(scale=100.0, size=(batch, width)) + rng.normal(scale=50.0, size=width)
-        y, _ = batchnorm_forward(x, layer, mode="train", update_running=False)
+        y, _ = batchnorm_forward(x, layer, mode="train")
         assert np.abs(y.mean(axis=0)).max() < 1e-9
         if batch >= 2 and np.all(x.var(axis=0) > 1.0):
             assert np.abs(y.var(axis=0) - 1.0).max() < 1e-6
@@ -174,10 +174,10 @@ def test_batchnorm_gradients_match_finite_differences():
         target = rng.normal(size=(batch, width))
 
         def loss_fn():
-            y, _ = batchnorm_forward(x, layer, mode="train", update_running=False)
+            y, _ = batchnorm_forward(x, layer, mode="train")
             return 0.5 * np.sum((y - target) ** 2)
 
-        y, cache = batchnorm_forward(x, layer, mode="train", update_running=False)
+        y, cache = batchnorm_forward(x, layer, mode="train")
         layer.zero_grad()
         grad_x = batchnorm_backward(y - target, cache, layer)
         report = grad_check(
@@ -292,13 +292,13 @@ def test_composite_chain_gradients():
 
         def loss_fn():
             h = affine_forward(x, first)
-            hb, _ = batchnorm_forward(h, bn, mode="train", update_running=False)
+            hb, _ = batchnorm_forward(h, bn, mode="train")
             hr = relu_forward(hb)
             p = softmax(affine_forward(hr, second))
             return -np.log(p[np.arange(batch), labels]).sum() / batch
 
         h = affine_forward(x, first)
-        hb, cache = batchnorm_forward(h, bn, mode="train", update_running=False)
+        hb, cache = batchnorm_forward(h, bn, mode="train")
         hr = relu_forward(hb)
         p = softmax(affine_forward(hr, second))
         grad_scores = p.copy()

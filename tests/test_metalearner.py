@@ -18,13 +18,10 @@ from persage.mathcore import (
 )
 from persage.metalearner import (
     Dims,
-    build_residual_input,
-    generate_class_weight,
     generate_weights,
     generate_weights_backward,
     generate_weights_batch,
     init_params,
-    one_hot,
     personal_scores,
     personal_scores_backward,
 )
@@ -33,6 +30,36 @@ from persage.training import CheckpointError, load_params, save_params
 
 def small_dims():
     return Dims(n_classes=5, age_dim=8, id_dim=6, hidden_dim=16)
+
+
+# ------------------------------------- explicit one-row reference generator
+
+def one_hot(i, k):
+    i = int(i)
+    if not 0 <= i < k:
+        raise ValueError(f"class index {i} out of range for K={k}")
+    v = np.zeros(k)
+    v[i] = 1.0
+    return v
+
+
+def build_residual_input(id_feat, w_common_row, i, k):
+    """Concatenate [identity features, common row, one-hot class] in that order."""
+    id_feat = np.asarray(id_feat, dtype=np.float64)
+    w_common_row = np.asarray(w_common_row, dtype=np.float64)
+    if id_feat.ndim != 1 or w_common_row.ndim != 1:
+        raise ValueError("identity features and weight row must be vectors")
+    return np.concatenate([id_feat, w_common_row, one_hot(i, k)])
+
+
+def generate_class_weight(params, id_feat, i, mode="eval"):
+    """Single personalized row, from the explicit [h | common row | one-hot] input."""
+    d = params.dims
+    x = build_residual_input(np.asarray(id_feat, dtype=np.float64),
+                             params.w_common[int(i)], i, d.n_classes)
+    pre = affine_forward(x[None, :], params.hidden)
+    hidden = relu_forward(batchnorm_forward(pre, params.bn, mode=mode)[0])
+    return params.w_common[int(i)] + affine_forward(hidden, params.output)[0]
 
 
 def test_one_hot_hand_cases():
@@ -315,15 +342,12 @@ def test_train_mode_needs_two_rows_and_backward_needs_train_cache():
         personal_scores(params, ids, age, "train")
     assert np.array_equal(params.bn.running_mean, before.running_mean)
     assert np.array_equal(params.bn.running_var, before.running_var)
-    with pytest.raises(ValueError, match="mode"):
-        generate_weights_batch(params, ids, "Train")
-    # mode=None means params.bn.mode, as in mathcore.batchnorm_forward
-    params.bn.mode = "eval"
-    by_layer, _ = generate_weights_batch(params, ids, None)
-    assert np.array_equal(by_layer, generate_weights_batch(params, ids, "eval")[0])
-    params.bn.mode = "train"
-    with pytest.raises(ValueError, match="batch >= 2"):
-        generate_weights_batch(params, ids, None)
+    # the mode is required: a misspelt one and None are both refused
+    for mode in ("Train", None):
+        with pytest.raises(ValueError, match="mode"):
+            generate_weights_batch(params, ids, mode)
+        with pytest.raises(ValueError, match="mode"):
+            personal_scores(params, ids, age, mode)
     # a single sample in eval mode, or two in train mode, is fine
     generate_weights_batch(params, ids, "eval")
     generate_weights_batch(params, np.ones((2, 2)), "train")

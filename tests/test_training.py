@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from persage import training
 from persage.data import Dataset, SynthConfig, synth_generate
 from persage.losses import batch_loss
 from persage.mathcore import AffineLayer, affine_forward, grad_check
@@ -69,6 +70,8 @@ def test_config_defaults_and_validation():
                 dict(lam=-0.1), dict(target_mode="nonsense")):
         with pytest.raises(ValueError):
             TrainConfig(dims=small_dims(), **bad)
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(dims=small_dims(), seed=-1)
 
 
 def test_trained_model_slot_validation():
@@ -263,7 +266,7 @@ def test_evaluate_is_side_effect_free():
     assert np.array_equal(model.mlp.bn.running_mean, running)
 
 
-def test_eval_predictions_ignore_batch_makeup_and_chunk():
+def test_eval_predictions_ignore_batch_makeup_and_chunk(monkeypatch):
     # eval mode normalizes with running statistics only, so a sample's
     # prediction is the same alone, in any batch and in any chunking
     ds = small_dataset()
@@ -273,17 +276,20 @@ def test_eval_predictions_ignore_batch_makeup_and_chunk():
     perm = np.random.default_rng(4).permutation(n)
     for kind in MODEL_KINDS:
         model = train(ds, quick_config(model_kind=kind, epochs=2))
-        ref = model_predict(model, age, ids, chunk=n)
+        monkeypatch.setattr(training, "_PREDICT_CHUNK", n)
+        ref = model_predict(model, age, ids)
 
         def check(got, want, what):
             err = np.abs(got - want).max()
             assert err <= 1e-12, f"{kind}, {what}: max abs error {err:.3e}"
 
         for chunk in (1, 7, 512):
-            check(model_predict(model, age, ids, chunk=chunk), ref,
-                  f"chunk {chunk}")
-        check(model_predict(model, age[perm], ids[perm], chunk=7), ref[perm],
+            monkeypatch.setattr(training, "_PREDICT_CHUNK", chunk)
+            check(model_predict(model, age, ids), ref, f"chunk {chunk}")
+        monkeypatch.setattr(training, "_PREDICT_CHUNK", 7)
+        check(model_predict(model, age[perm], ids[perm]), ref[perm],
               "permuted batch")
+        monkeypatch.undo()
         for lo, hi in ((0, 1), (5, 17), (n - 3, n)):
             check(model_predict(model, age[lo:hi], ids[lo:hi]), ref[lo:hi],
                   f"rows {lo}:{hi}")
