@@ -30,11 +30,10 @@ class LossConfig:
             raise ValueError(f"unknown target_mode {self.target_mode!r}")
 
 
-def _log_softmax_parts(scores):
-    # log sum exp with max shift; returns (lse, scores) for loss assembly
-    m = scores.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(scores - m).sum(axis=-1, keepdims=True))
-    return lse
+def _logsumexp(scores):
+    """log(sum(exp(scores))) of each row of (B, K) scores, max-shifted: (B,)."""
+    m = scores.max(axis=-1)
+    return m + np.log(np.exp(scores - m[:, None]).sum(axis=-1))
 
 
 def ord_loss(scores, y, delta):
@@ -117,7 +116,7 @@ def batch_loss(scores, labels, sigmas, config):
         targets[np.arange(b), y_hard] = 1.0
 
     probs = softmax(scores)
-    lse = _log_softmax_parts(scores)[:, 0]
+    lse = _logsumexp(scores)
     closs = float((lse - (targets * scores).sum(axis=1)).mean())
     grad = (probs - targets) / b
     if config.lam == 0.0:

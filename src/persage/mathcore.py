@@ -3,7 +3,7 @@
 Everything runs in float64: the gradient verification tolerances used
 throughout the test suite are not reachable in float32. A "matrix" here is
 simply a 2-D float64 ndarray (row-major); layers keep their own gradient
-buffers which the backward functions accumulate into.
+buffers which the backward functions accumulate into and the caller zeroes.
 """
 
 from __future__ import annotations
@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+BN_MOMENTUM = 0.1  # running = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch
+BN_EPSILON = 1e-5  # added to the variance before its square root
 
 
 def _as_batch(x, cols, what="input"):
@@ -49,10 +52,6 @@ class AffineLayer:
     def in_dim(self):
         return self.weight.shape[1]
 
-    def zero_grad(self):
-        self.grad_weight[:] = 0.0
-        self.grad_bias[:] = 0.0
-
 
 def init_affine(out_dim, in_dim, rng):
     """Glorot-uniform weight in (-sqrt(6/(in+out)), +sqrt(6/(in+out))), zero bias."""
@@ -90,18 +89,12 @@ class BatchNormLayer:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
     grad_gamma: np.ndarray = field(init=False)
     grad_beta: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name in ("gamma", "beta", "running_mean", "running_var"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if not (0.0 < self.momentum < 1.0):
-            raise ValueError(f"momentum must be in (0,1), got {self.momentum}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if np.any(self.running_var < 0.0):
             raise ValueError("running_var must be >= 0 elementwise")
         self.grad_gamma = np.zeros_like(self.gamma)
@@ -111,19 +104,12 @@ class BatchNormLayer:
     def width(self):
         return self.gamma.shape[0]
 
-    def zero_grad(self):
-        self.grad_gamma[:] = 0.0
-        self.grad_beta[:] = 0.0
-
-
-def init_batchnorm(width, momentum=0.1, epsilon=1e-5):
+def init_batchnorm(width):
     return BatchNormLayer(
         gamma=np.ones(width),
         beta=np.zeros(width),
         running_mean=np.zeros(width),
         running_var=np.ones(width),
-        momentum=momentum,
-        epsilon=epsilon,
     )
 
 
@@ -138,7 +124,7 @@ def batchnorm_forward(x, layer, mode):
 
     Train mode normalizes with batch statistics (biased variance) and folds
     them into the running estimates with
-    ``running = (1-momentum)*running + momentum*batch``; its output never
+    ``running = (1-BN_MOMENTUM)*running + BN_MOMENTUM*batch``; its output never
     reads the running statistics. Eval mode uses the running statistics and
     never mutates the layer. ``mode`` is "train" or "eval".
     """
@@ -146,17 +132,17 @@ def batchnorm_forward(x, layer, mode):
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval":
-        inv_std = 1.0 / np.sqrt(layer.running_var + layer.epsilon)
+        inv_std = 1.0 / np.sqrt(layer.running_var + BN_EPSILON)
         x_hat = (x - layer.running_mean) * inv_std
         return layer.gamma * x_hat + layer.beta, None
     if x.shape[0] < 2:
         raise ValueError("train-mode batch normalization needs batch >= 2")
     mean = x.mean(axis=0)
     var = x.var(axis=0)
-    m = layer.momentum
+    m = BN_MOMENTUM
     layer.running_mean[:] = (1.0 - m) * layer.running_mean + m * mean
     layer.running_var[:] = (1.0 - m) * layer.running_var + m * var
-    inv_std = 1.0 / np.sqrt(var + layer.epsilon)
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     x_hat = (x - mean) * inv_std
     return layer.gamma * x_hat + layer.beta, BatchNormCache(x_hat=x_hat, inv_std=inv_std)
 

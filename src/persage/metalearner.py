@@ -44,6 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mathcore import (
+    BN_EPSILON,
+    BN_MOMENTUM,
     AffineLayer,
     BatchNormLayer,
     affine_forward,
@@ -94,22 +96,6 @@ class MetaLearnerParams:
             raise ValueError("output layer dims disagree with declared dims")
         if self.grad_w_common is None:
             self.grad_w_common = np.zeros_like(self.w_common)
-
-    def zero_grad(self):
-        self.grad_w_common[:] = 0.0
-        self.hidden.zero_grad()
-        self.bn.zero_grad()
-        self.output.zero_grad()
-
-    def trainable(self):
-        """name -> (param, grad) for every trained array. Biases stay 0."""
-        return {
-            "w_common": (self.w_common, self.grad_w_common),
-            "hidden.weight": (self.hidden.weight, self.hidden.grad_weight),
-            "bn.gamma": (self.bn.gamma, self.bn.grad_gamma),
-            "bn.beta": (self.bn.beta, self.bn.grad_beta),
-            "output.weight": (self.output.weight, self.output.grad_weight),
-        }
 
 
 def init_params(dims, seed):
@@ -164,14 +150,14 @@ def _hidden_forward(params, id_feats, mode):
         mean_person, mean_table = person.mean(axis=0), table.mean(axis=0)
         mean = mean_person + mean_table
         var = person.var(axis=0) + table.var(axis=0)
-        m = bn.momentum
+        m = BN_MOMENTUM
         bn.running_mean[:] = (1.0 - m) * bn.running_mean + m * mean
         bn.running_var[:] = (1.0 - m) * bn.running_var + m * var
     elif mode == "eval":
         mean_person, mean_table, var = 0.0, bn.running_mean, bn.running_var
     else:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    inv = 1.0 / np.sqrt(var + bn.epsilon)
+    inv = 1.0 / np.sqrt(var + BN_EPSILON)
     scale = bn.gamma * inv
     person = person - mean_person
     # the table's mean folds into its shift, one (K, H) pass fewer

@@ -77,7 +77,10 @@ class EvalResult:
         return "\n".join(lines) + "\n"
 
 
-def eval_result(preds, labels, sigmas=None, theta_max=10):
+_THETA_MAX = 10  # eval_result's cumulative-score thresholds are 0.._THETA_MAX
+
+
+def eval_result(preds, labels, sigmas=None):
     """Bundle the three metrics; the sigma-weighted one only if all sigmas known."""
     preds, labels = _pair(preds, labels)
     eps = None
@@ -86,7 +89,7 @@ def eval_result(preds, labels, sigmas=None, theta_max=10):
         if not np.isnan(sigmas).any():
             eps = eps_error(preds, labels, sigmas)
     return EvalResult(mae=mae(preds, labels),
-                      cs_curve=cs_curve(preds, labels, theta_max),
+                      cs_curve=cs_curve(preds, labels, _THETA_MAX),
                       eps_error=eps, n_samples=int(preds.shape[0]))
 
 

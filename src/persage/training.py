@@ -15,6 +15,7 @@ to every kind so the comparison stays fair. Identity features are never
 transformed by anything trainable; they enter only as constant inputs.
 """
 
+import copy
 from dataclasses import dataclass, field, replace
 import math
 from operator import attrgetter
@@ -35,6 +36,7 @@ from .mathcore import (
     batchnorm_backward,
     batchnorm_forward,
     init_affine,
+    init_batchnorm,
     relu_backward,
     relu_forward,
     softmax,
@@ -149,29 +151,12 @@ class ConcatParams:
     output: AffineLayer
     dims: Dims
 
-    def zero_grad(self):
-        self.hidden.zero_grad()
-        self.bn.zero_grad()
-        self.output.zero_grad()
-
-    def trainable(self):
-        return {
-            "hidden.weight": (self.hidden.weight, self.hidden.grad_weight),
-            "bn.gamma": (self.bn.gamma, self.bn.grad_gamma),
-            "bn.beta": (self.bn.beta, self.bn.grad_beta),
-            "output.weight": (self.output.weight, self.output.grad_weight),
-            "output.bias": (self.output.bias, self.output.grad_bias),
-        }
-
 
 def init_concat(dims, seed):
     rng = np.random.default_rng(seed)
     return ConcatParams(
         hidden=init_affine(dims.hidden_dim, dims.age_dim + dims.id_dim, rng),
-        bn=BatchNormLayer(gamma=np.ones(dims.hidden_dim),
-                          beta=np.zeros(dims.hidden_dim),
-                          running_mean=np.zeros(dims.hidden_dim),
-                          running_var=np.ones(dims.hidden_dim)),
+        bn=init_batchnorm(dims.hidden_dim),
         output=init_affine(dims.n_classes, dims.hidden_dim, rng),
         dims=dims)
 
@@ -192,13 +177,23 @@ def _concat_backward(mlp, grad_scores, cache):
     return affine_backward(grad_pre, x, mlp.hidden)[:, :mlp.dims.age_dim]
 
 
-def _mlp_layout(in_dim, hidden_dim, out_dim):
-    """Checkpoint blocks of affine -> batch norm -> affine, in file order."""
+def _mlp_layout(in_dim, hidden_dim, out_dim, output_bias):
+    """Blocks of affine -> batch norm -> affine, in file order.
+
+    The hidden bias never trains: batch norm cancels it. ``output_bias``
+    says whether the output bias trains.
+    """
     h = hidden_dim
-    return (("hidden.weight", (h, in_dim)), ("hidden.bias", (h,)),
-            ("bn.gamma", (h,)), ("bn.beta", (h,)),
-            ("bn.running_mean", (h,)), ("bn.running_var", (h,)),
-            ("output.weight", (out_dim, h)), ("output.bias", (out_dim,)))
+    return (("hidden.weight", (h, in_dim), True), ("hidden.bias", (h,), False),
+            ("bn.gamma", (h,), True), ("bn.beta", (h,), True),
+            ("bn.running_mean", (h,), False), ("bn.running_var", (h,), False),
+            ("output.weight", (out_dim, h), True),
+            ("output.bias", (out_dim,), output_bias))
+
+
+def _global_backward(table, grad_scores, g):
+    table.grad_weight += grad_scores.T @ g
+    return grad_scores @ table.weight
 
 
 @dataclass(frozen=True)
@@ -208,37 +203,33 @@ class _Kind:
     code: int            # the kind byte of a version-2 checkpoint
     slot: str            # the TrainedModel attribute holding the parameters
     init: Callable       # (dims, seed) -> parameters
-    trainable: Callable  # parameters -> {name: (param, grad)}
     forward: Callable    # (parameters, g, id_feats, mode) -> (scores, cache)
     backward: Callable   # (parameters, grad_scores, cache) -> d(loss)/d(g)
-    layout: Callable     # dims -> checkpoint blocks as (attribute path, shape)
+    layout: Callable     # dims -> blocks as (attribute path, shape, trained)
 
 
 _KINDS = {
     "metaage": _Kind(
         code=0, slot="meta", init=init_params,
-        trainable=MetaLearnerParams.trainable,
         forward=lambda meta, g, id_feats, mode: personal_scores(
             meta, id_feats, g, mode),
         backward=personal_scores_backward,
-        layout=lambda d: (("w_common", (d.n_classes, d.age_dim)),)
-        + _mlp_layout(d.residual_in, d.hidden_dim, d.age_dim)),
-    # bias-free by design: this keeps the baseline exactly equal to the
+        layout=lambda d: (("w_common", (d.n_classes, d.age_dim), True),)
+        + _mlp_layout(d.residual_in, d.hidden_dim, d.age_dim, False)),
+    # only the weight: this keeps the baseline exactly equal to the
     # generator with its residual zeroed, which has no bias either
     "global": _Kind(
         code=1, slot="table",
         init=lambda d, seed: init_affine(d.n_classes, d.age_dim,
                                          np.random.default_rng(seed)),
-        trainable=lambda table: {"table": (table.weight, table.grad_weight)},
-        forward=lambda table, g, id_feats, mode: (affine_forward(g, table), g),
-        backward=lambda table, grad_scores, g: affine_backward(grad_scores, g,
-                                                               table),
-        layout=lambda d: (("weight", (d.n_classes, d.age_dim)),)),
+        forward=lambda table, g, id_feats, mode: (g @ table.weight.T, g),
+        backward=_global_backward,
+        layout=lambda d: (("weight", (d.n_classes, d.age_dim), True),)),
     "concat": _Kind(
-        code=2, slot="mlp", init=init_concat, trainable=ConcatParams.trainable,
+        code=2, slot="mlp", init=init_concat,
         forward=_concat_forward, backward=_concat_backward,
         layout=lambda d: _mlp_layout(d.age_dim + d.id_dim, d.hidden_dim,
-                                     d.n_classes)),
+                                     d.n_classes, True)),
 }
 MODEL_KINDS = tuple(_KINDS)
 
@@ -250,7 +241,16 @@ def init_adapter(dims):
 
 @dataclass
 class TrainedModel:
-    """Parameters for one model kind plus its per-epoch (loss, MAE) history."""
+    """Parameters for one model kind plus its per-epoch (loss, MAE) history.
+
+    Construction takes ownership of the layers passed in. Every block of
+    the checkpoint layout is copied into ``values``, one float64 buffer in
+    file order, and its attribute is rebound to a view of it; the block's
+    gradient buffer, where its layer has one, is copied and rebound the
+    same way into the parallel buffer ``grads``. An array held from before
+    construction is then detached from the model. A deep copy owns buffers
+    of its own.
+    """
 
     kind: str
     dims: Dims
@@ -259,6 +259,8 @@ class TrainedModel:
     mlp: ConcatParams = None
     adapter: AffineLayer = None
     history: list = field(default_factory=list)
+    values: np.ndarray = field(init=False, repr=False)
+    grads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -268,25 +270,56 @@ class TrainedModel:
         if filled != [_KINDS[self.kind].slot]:
             raise ValueError(f"kind {self.kind!r} requires exactly its own "
                              f"parameter slot to be set")
+        spans = _spans(self.layout())
+        # little-endian, as the checkpoint stores it
+        self.values = np.zeros(spans[-1][-1], dtype="<f8")
+        self.grads = np.zeros_like(self.values)
+        for path, shape, _, start, stop in spans:
+            owner, _, leaf = path.rpartition(".")
+            owner = attrgetter(owner)(self)
+            for buffer, name in ((self.values, leaf), (self.grads, "grad_" + leaf)):
+                if not hasattr(owner, name):
+                    continue  # running statistics have no gradient
+                array = getattr(owner, name)
+                if np.shape(array) != shape:
+                    raise ValueError(f"{path} needs shape {shape}, "
+                                     f"{name} has {np.shape(array)}")
+                view = buffer[start:stop].reshape(shape)
+                view[...] = array
+                setattr(owner, name, view)
+
+    def __deepcopy__(self, memo):
+        # rebuilt through the constructor: copied field by field, every view
+        # would become an array detached from the copied buffers
+        return TrainedModel(kind=self.kind, dims=copy.deepcopy(self.dims, memo),
+                            adapter=copy.deepcopy(self.adapter, memo),
+                            history=copy.deepcopy(self.history, memo),
+                            **{_KINDS[self.kind].slot:
+                               copy.deepcopy(self.params, memo)})
 
     @property
     def params(self):
         """The parameters of the model's own kind, without the adapter."""
         return getattr(self, _KINDS[self.kind].slot)
 
+    def layout(self):
+        """The checkpoint blocks as (attribute path, shape, trained)."""
+        return _layout(self.kind, self.dims, self.adapter is not None)
+
     def zero_grad(self):
-        self.params.zero_grad()
-        if self.adapter is not None:
-            self.adapter.zero_grad()
+        self.grads.fill(0.0)
 
     def trainable(self):
-        """name -> (param, grad), everything the optimizer touches."""
-        items = dict(_KINDS[self.kind].trainable(self.params))
-        if self.adapter is not None:
-            items["adapter.weight"] = (self.adapter.weight,
-                                       self.adapter.grad_weight)
-            items["adapter.bias"] = (self.adapter.bias, self.adapter.grad_bias)
-        return items
+        """name -> (param, grad) views of every trained block, file order.
+
+        Names are the layout paths without the kind's slot, so the adapter's
+        keep their ``adapter.`` prefix.
+        """
+        slot = _KINDS[self.kind].slot + "."
+        return {path.removeprefix(slot): (self.values[start:stop].reshape(shape),
+                                          self.grads[start:stop].reshape(shape))
+                for path, shape, trained, start, stop in _spans(self.layout())
+                if trained}
 
 
 def init_model(config):
@@ -376,6 +409,9 @@ def train(dataset, config, model=None):
                              f"model_kind {config.model_kind!r}")
         if model.dims != config.dims:
             raise ValueError(f"model dims {model.dims} != config dims {config.dims}")
+        if (model.adapter is not None) != config.use_adapter:
+            raise ValueError(f"model {'has no' if model.adapter is None else 'has an'}"
+                             f" adapter, config use_adapter={config.use_adapter}")
     loss_cfg = config.loss_config()
     named = model.trainable()
     params = [p for p, _ in named.values()]
@@ -468,9 +504,9 @@ def history_csv(model):
 # The MAPC container. Version 1 holds a bare generator: "MAPC", the version
 # byte, the u32 dims K, D, F, H and the generator's blocks. Version 2 holds a
 # TrainedModel: a model-kind byte and an adapter flag follow the version
-# byte, and the adapter's blocks follow the kind's when flagged. Blocks are
-# little-endian float64 in the kind's layout order. History is a CSV side
-# artifact, not part of the checkpoint.
+# byte, and the adapter's blocks follow the kind's when flagged. The blocks
+# are a TrainedModel's ``values`` buffer: little-endian float64 in layout
+# order. History is a CSV side artifact, not part of the checkpoint.
 _HEADERS = {1: struct.Struct("<4sB4I"), 2: struct.Struct("<4sBBB4I")}
 
 
@@ -479,14 +515,24 @@ class CheckpointError(Exception):
 
 
 def _layout(kind, dims, adapter):
-    """The model's checkpoint blocks as (attribute path, shape), file order."""
+    """A model's blocks as (attribute path, shape, trained), file order."""
     spec = _KINDS[kind]
-    blocks = tuple((f"{spec.slot}.{name}", shape)
-                   for name, shape in spec.layout(dims))
+    blocks = tuple((f"{spec.slot}.{name}", shape, trained)
+                   for name, shape, trained in spec.layout(dims))
     if adapter:
         d = dims.age_dim
-        blocks += (("adapter.weight", (d, d)), ("adapter.bias", (d,)))
+        blocks += (("adapter.weight", (d, d), True),
+                   ("adapter.bias", (d,), True))
     return blocks
+
+
+def _spans(blocks):
+    """Each block with its [start, stop) in a flat buffer, as a list."""
+    spans, start = [], 0
+    for path, shape, trained in blocks:
+        spans.append((path, shape, trained, start, start + math.prod(shape)))
+        start += math.prod(shape)
+    return spans
 
 
 def _save(path, version, fields, model):
@@ -494,15 +540,16 @@ def _save(path, version, fields, model):
     with open(path, "wb") as fh:
         fh.write(_HEADERS[version].pack(b"MAPC", version, *fields, d.n_classes,
                                         d.age_dim, d.id_dim, d.hidden_dim))
-        for name, _ in _layout(model.kind, d, model.adapter is not None):
-            fh.write(np.ascontiguousarray(attrgetter(name)(model),
-                                          dtype="<f8").tobytes())
+        fh.write(model.values)
 
 
 def save_params(path, params):
-    """Version-1 checkpoint of a bare generator, without kind or adapter."""
+    """Version-1 checkpoint of a bare generator, without kind or adapter.
+
+    ``params`` is copied first, so the caller's arrays stay its own.
+    """
     _save(path, 1, (), TrainedModel(kind="metaage", dims=params.dims,
-                                    meta=params))
+                                    meta=copy.deepcopy(params)))
 
 
 def save_model(path, model):
@@ -524,7 +571,8 @@ def _load(path, version):
 
     The payload size follows from the header dims in Python ints, so a
     forged header can neither overflow it nor make the reader allocate it:
-    the file must hold exactly that many bytes before a block is read.
+    the file must hold exactly that many bytes before the model is built
+    and the payload read into its ``values``.
     """
     header = _HEADERS[version]
     with open(path, "rb") as fh:
@@ -547,9 +595,9 @@ def _load(path, version):
             raise CheckpointError(f"invalid dims at byte offset "
                                   f"{header.size - 16}: {exc}") from exc
         kind = kinds[code]
-        layout = _layout(kind, dims, adapter)
+        spans = _spans(_layout(kind, dims, adapter))
         offset = header.size
-        payload = 8 * sum(math.prod(shape) for _, shape in layout)
+        payload = 8 * spans[-1][-1]
         size = os.fstat(fh.fileno()).st_size
         if size < offset + payload:
             raise CheckpointError(
@@ -558,22 +606,23 @@ def _load(path, version):
                 f"holds {size - offset}")
         if size > offset + payload:
             raise CheckpointError(f"trailing data at byte offset {offset + payload}")
-        data = _read_exact(fh, payload, offset, "the blocks")
-    spec = _KINDS[kind]
-    model = TrainedModel(kind=kind, dims=dims,
-                         adapter=init_adapter(dims) if adapter else None,
-                         **{spec.slot: spec.init(dims, 0)})
-    for name, shape in layout:
-        block = np.frombuffer(data, dtype="<f8", count=math.prod(shape),
-                              offset=offset - header.size).reshape(shape)
-        if not np.isfinite(block).all():
+        spec = _KINDS[kind]
+        model = TrainedModel(kind=kind, dims=dims,
+                             adapter=init_adapter(dims) if adapter else None,
+                             **{spec.slot: spec.init(dims, 0)})
+        got = fh.readinto(model.values)
+        if got != payload:
             raise CheckpointError(
-                f"non-finite values in {name} block at byte offset {offset}")
+                f"truncated checkpoint at byte offset {offset + got}: "
+                f"needed {payload} bytes for the blocks, got {got}")
+    for name, _, _, start, stop in spans:
+        block = model.values[start:stop]
+        if not np.isfinite(block).all():
+            raise CheckpointError(f"non-finite values in {name} block at "
+                                  f"byte offset {offset + 8 * start}")
         if name.endswith("running_var") and (block < 0.0).any():
             raise CheckpointError(f"invalid batch-norm state at byte offset "
-                                  f"{offset}: negative running variance")
-        attrgetter(name)(model)[...] = block
-        offset += block.nbytes
+                                  f"{offset + 8 * start}: negative running variance")
     return model
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from persage.mathcore import (
+    BN_EPSILON,
     AffineLayer,
     affine_backward,
     affine_forward,
@@ -43,8 +44,10 @@ def test_affine_backward_accumulates():
     affine_backward(np.array([[1.0]]), x, layer)
     affine_backward(np.array([[1.0]]), x, layer)
     assert np.array_equal(layer.grad_weight, np.array([[6.0]]))
-    layer.zero_grad()
-    assert np.array_equal(layer.grad_weight, np.array([[0.0]]))
+    # zeroed by its owner, the buffer accumulates afresh
+    layer.grad_weight[:] = 0.0
+    affine_backward(np.array([[1.0]]), x, layer)
+    assert np.array_equal(layer.grad_weight, np.array([[3.0]]))
 
 
 def test_affine_shape_validation():
@@ -81,7 +84,6 @@ def test_affine_gradients_match_finite_differences():
             return 0.5 * np.sum((y - target) ** 2)
 
         y = affine_forward(x, layer)
-        layer.zero_grad()
         grad_x = affine_backward(y - target, x, layer)
         report = grad_check(
             loss_fn,
@@ -94,15 +96,15 @@ def test_affine_gradients_match_finite_differences():
 # ---------------------------------------------------------------- batch norm
 
 def test_batchnorm_eval_hand_case():
-    # (x - mean) / sqrt(var) scaled by gamma, shifted by beta; tiny epsilon
-    layer = init_batchnorm(1, epsilon=1e-12)
+    # (x - mean) / sqrt(var + epsilon) scaled by gamma, shifted by beta
+    layer = init_batchnorm(1)
     layer.gamma[:] = 2.0
     layer.beta[:] = 1.0
     layer.running_mean[:] = 1.0
     layer.running_var[:] = 4.0
     y, cache = batchnorm_forward(np.array([[3.0]]), layer, mode="eval")
     assert cache is None
-    assert abs(y[0, 0] - 3.0) < 1e-10
+    assert abs(y[0, 0] - (2.0 * 2.0 / np.sqrt(4.0 + BN_EPSILON) + 1.0)) < 1e-10
 
 
 def test_batchnorm_running_stats_update():
@@ -178,7 +180,6 @@ def test_batchnorm_gradients_match_finite_differences():
             return 0.5 * np.sum((y - target) ** 2)
 
         y, cache = batchnorm_forward(x, layer, mode="train")
-        layer.zero_grad()
         grad_x = batchnorm_backward(y - target, cache, layer)
         report = grad_check(
             loss_fn,
@@ -255,7 +256,6 @@ def test_grad_check_flags_corrupted_gradient():
     def loss_fn():
         return 0.5 * np.sum((affine_forward(x, layer) - target) ** 2)
 
-    layer.zero_grad()
     affine_backward(affine_forward(x, layer) - target, x, layer)
     report = grad_check(loss_fn, {"weight": layer.weight},
                         {"weight": layer.grad_weight * 1.01})
@@ -304,9 +304,6 @@ def test_composite_chain_gradients():
         grad_scores = p.copy()
         grad_scores[np.arange(batch), labels] -= 1.0
         grad_scores /= batch
-        for lay in (first, second):
-            lay.zero_grad()
-        bn.zero_grad()
         g = affine_backward(grad_scores, hr, second)
         g = relu_backward(g, hb)
         g = batchnorm_backward(g, cache, bn)

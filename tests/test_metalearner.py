@@ -25,7 +25,12 @@ from persage.metalearner import (
     personal_scores,
     personal_scores_backward,
 )
-from persage.training import CheckpointError, load_params, save_params
+from persage.training import (
+    CheckpointError,
+    TrainedModel,
+    load_params,
+    save_params,
+)
 
 
 def small_dims():
@@ -194,6 +199,7 @@ def test_full_pipeline_gradients():
             break
         rng = np.random.default_rng(seed)
         params = init_params(dims, seed)
+        model = TrainedModel(kind="metaage", dims=dims, meta=params)
         ids = rng.normal(scale=0.5, size=(3, dims.id_dim))
         age = rng.normal(size=(3, dims.age_dim))
         labels = rng.integers(0, dims.n_classes, size=3).astype(np.float64)
@@ -206,11 +212,11 @@ def test_full_pipeline_gradients():
         w, cache = generate_weights_batch(params, ids, mode="train")
         scores = class_scores_batch(w, age)
         _, grad_scores = batch_loss(scores, labels, None, config)
-        params.zero_grad()
+        model.zero_grad()
         grad_w = np.einsum("bk,bd->bkd", grad_scores, age)
         generate_weights_backward(params, grad_w, cache)
-        names = {name: pg[0] for name, pg in params.trainable().items()}
-        grads = {name: pg[1] for name, pg in params.trainable().items()}
+        names = {name: pg[0] for name, pg in model.trainable().items()}
+        grads = {name: pg[1] for name, pg in model.trainable().items()}
         gaps = scores[:, 1:] - scores[:, :-1]
         margin_dist = np.minimum(np.abs(config.delta - gaps),
                                  np.abs(config.delta + gaps)).min()
@@ -245,13 +251,15 @@ def _conditioning_matrix(params, id_feats):
 def _explicit_reference(params, ids, age, mode, grad_scores):
     """Weights, scores, gradients and d(age) through the explicit rows.
 
-    Runs on a copy of ``params``; returns the copy (its batch-norm running
-    statistics and gradient buffers hold the reference state) as well.
+    Runs on a copy of ``params``; returns a model owning the copy (its
+    batch-norm running statistics and gradient buffers hold the reference
+    state) as well.
     """
     d = params.dims
     b = ids.shape[0]
-    p = copy.deepcopy(params)
-    p.zero_grad()
+    model = _owned_copy(params)
+    model.zero_grad()
+    p = model.meta
     x = _conditioning_matrix(p, ids)
     normed, bn_cache = batchnorm_forward(affine_forward(x, p.hidden), p.bn,
                                          mode=mode)
@@ -268,7 +276,13 @@ def _explicit_reference(params, ids, age, mode, grad_scores):
         grad_x = affine_backward(g, x, p.hidden)
         rows = grad_x[:, d.id_dim:d.id_dim + d.age_dim]
         p.grad_w_common += rows.reshape(b, d.n_classes, d.age_dim).sum(axis=0)
-    return p, weights, scores, grad_age
+    return model, weights, scores, grad_age
+
+
+def _owned_copy(params):
+    """A metaage model owning a deep copy of ``params``."""
+    return TrainedModel(kind="metaage", dims=params.dims,
+                        meta=copy.deepcopy(params))
 
 
 def _assert_close(got, ref, what):
@@ -306,29 +320,31 @@ def test_factored_path_matches_explicit_rows(k, d, f, h, b, mode):
     ref, ref_weights, ref_scores, ref_grad_age = _explicit_reference(
         params, ids, age, mode, grad_scores)
 
-    by_weights = copy.deepcopy(params)
-    weights, wcache = generate_weights_batch(by_weights, ids, mode)
+    by_weights = _owned_copy(params)
+    weights, wcache = generate_weights_batch(by_weights.meta, ids, mode)
     _assert_close(weights, ref_weights, "weights")
-    by_scores = copy.deepcopy(params)
-    scores, scache = personal_scores(by_scores, ids, age, mode)
+    by_scores = _owned_copy(params)
+    scores, scache = personal_scores(by_scores.meta, ids, age, mode)
     _assert_close(scores, ref_scores, "scores")
-    for p in (by_weights, by_scores):
+    for model in (by_weights, by_scores):
         for stat in ("running_mean", "running_var"):
+            got = getattr(model.meta.bn, stat)
             if mode == "eval":
-                assert np.array_equal(getattr(p.bn, stat), getattr(params.bn, stat))
+                assert np.array_equal(got, getattr(params.bn, stat))
             else:
-                _assert_close(getattr(p.bn, stat), getattr(ref.bn, stat), stat)
+                _assert_close(got, getattr(ref.meta.bn, stat), stat)
     if mode == "eval":
         return
-    generate_weights_backward(by_weights, np.einsum("bk,bd->bkd", grad_scores, age),
-                              wcache)
-    grad_age = personal_scores_backward(by_scores, grad_scores, scache)
+    generate_weights_backward(by_weights.meta,
+                              np.einsum("bk,bd->bkd", grad_scores, age), wcache)
+    grad_age = personal_scores_backward(by_scores.meta, grad_scores, scache)
     _assert_close(grad_age, ref_grad_age, "age-feature gradient")
-    for p in (by_weights, by_scores):
+    for model in (by_weights, by_scores):
         for name, (_, grad) in ref.trainable().items():
-            _assert_close(p.trainable()[name][1], grad, name)
+            _assert_close(model.trainable()[name][1], grad, name)
         # the frozen biases get no gradient at all
-        assert not p.hidden.grad_bias.any() and not p.output.grad_bias.any()
+        meta = model.meta
+        assert not meta.hidden.grad_bias.any() and not meta.output.grad_bias.any()
 
 
 def test_train_mode_needs_two_rows_and_backward_needs_train_cache():
@@ -354,6 +370,7 @@ def test_train_mode_needs_two_rows_and_backward_needs_train_cache():
 
     dims = small_dims()
     params = init_params(dims, 5)
+    model = TrainedModel(kind="metaage", dims=dims, meta=params)
     rng = np.random.default_rng(3)
     ids = rng.normal(size=(2, dims.id_dim))
     age = rng.normal(size=(2, dims.age_dim))
@@ -365,7 +382,7 @@ def test_train_mode_needs_two_rows_and_backward_needs_train_cache():
     with pytest.raises(ValueError, match="train-mode"):
         personal_scores_backward(params, np.ones((2, dims.n_classes)), scache)
     # refused before any gradient is accumulated
-    assert all(not grad.any() for _, grad in params.trainable().values())
+    assert not model.grads.any()
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -385,6 +402,23 @@ def test_checkpoint_round_trip(tmp_path):
     # byte-identical when re-saved
     save_params(tmp_path / "again.mapc", loaded)
     assert (tmp_path / "params.mapc").read_bytes() == (tmp_path / "again.mapc").read_bytes()
+
+
+def test_save_params_leaves_the_callers_arrays_alone(tmp_path):
+    params = init_params(small_dims(), 4)
+    owned = [(params, "w_common"), (params, "grad_w_common"),
+             (params.hidden, "weight"), (params.hidden, "bias"),
+             (params.bn, "gamma"), (params.bn, "running_var"),
+             (params.output, "weight"), (params.output, "grad_weight")]
+    before = [getattr(owner, name) for owner, name in owned]
+    save_params(tmp_path / "p.mapc", params)
+    for (owner, name), array in zip(owned, before):
+        assert getattr(owner, name) is array, name
+    # an edit after the save still reaches the parameters
+    params.w_common[0, 0] = 7.0
+    save_params(tmp_path / "q.mapc", params)
+    assert load_params(tmp_path / "q.mapc").w_common[0, 0] == 7.0
+    assert load_params(tmp_path / "p.mapc").w_common[0, 0] != 7.0
 
 
 def test_checkpoint_corruption_reports_offsets(tmp_path):

@@ -130,7 +130,10 @@ def test_eps_error_monotone_in_sigma():
 # ------------------------------------------------------------- result bundle
 
 def test_eval_result_serialization():
-    res = eval_result([1.0, 2.0], [1.0, 4.0], sigmas=[1.0, 2.0], theta_max=2)
+    res = eval_result([1.0, 2.0], [1.0, 4.0], sigmas=[1.0, 2.0])
+    # thresholds 0..10, as persage eval writes them to cs_curve.csv
+    assert [theta for theta, _ in res.cs_curve] == list(range(11))
+    assert res.cs_curve[2] == (2, 100.0)
     doc = json.loads(res.to_json())
     assert set(doc) == {"mae", "cs_curve", "eps_error", "n_samples"}
     assert doc["mae"] == 1.0

@@ -1,8 +1,10 @@
 """Optimizer, training-loop, and checkpoint-v2 behavior."""
 
+import copy
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from persage import training
 from persage.data import Dataset, SynthConfig, synth_generate
 from persage.losses import batch_loss
-from persage.mathcore import AffineLayer, affine_forward, grad_check
+from persage.mathcore import AffineLayer, affine_forward, grad_check, init_affine
 from persage.metalearner import Dims, init_params
 from persage.training import (
     MODEL_KINDS,
@@ -82,6 +84,99 @@ def test_trained_model_slot_validation():
         TrainedModel(kind="global", dims=dims, meta=init_params(dims, 0))
     with pytest.raises(ValueError):
         TrainedModel(kind="sideways", dims=dims)
+    wrong = init_affine(dims.n_classes + 1, dims.age_dim, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="shape"):
+        TrainedModel(kind="global", dims=dims, table=wrong)
+
+
+# ------------------------------------------------------------ parameter store
+
+ALL_LAYOUTS = [(kind, adapter) for kind in MODEL_KINDS for adapter in (False, True)]
+FROZEN = {"metaage": {"meta.hidden.bias", "meta.output.bias",
+                      "meta.bn.running_mean", "meta.bn.running_var"},
+          "global": set(),
+          "concat": {"mlp.hidden.bias", "mlp.bn.running_mean",
+                     "mlp.bn.running_var"}}
+
+
+def _offset(view, buffer):
+    """Index of view's first element in the flat buffer it shares memory with."""
+    assert np.shares_memory(view, buffer)
+    start = view.__array_interface__["data"][0] - buffer.__array_interface__["data"][0]
+    return start // buffer.itemsize
+
+
+def _grad_arrays(obj, path):
+    """(path, array) of every grad_* array reachable from a layer tree."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name.startswith("grad_"):
+            yield f"{path}.{f.name}", value
+        elif is_dataclass(value) and not isinstance(value, Dims):
+            yield from _grad_arrays(value, f"{path}.{f.name}")
+
+
+@pytest.mark.parametrize("kind, adapter", ALL_LAYOUTS)
+def test_every_block_is_a_view_of_the_store(kind, adapter):
+    model = init_model(quick_config(model_kind=kind, use_adapter=adapter))
+    start = 0
+    for path, shape, trained in model.layout():
+        owner, _, leaf = path.rpartition(".")
+        array = attrgetter(path)(model)
+        assert array.shape == shape and array.flags.c_contiguous
+        assert _offset(array, model.values) == start
+        grad = getattr(attrgetter(owner)(model), "grad_" + leaf, None)
+        if grad is not None:
+            assert grad.shape == shape and _offset(grad, model.grads) == start
+        if trained:
+            # trainable() names drop the kind's slot, not the adapter's
+            name = path if owner.startswith("adapter") else path.split(".", 1)[1]
+            param, pgrad = model.trainable()[name]
+            assert _offset(param, model.values) == start
+            assert _offset(pgrad, model.grads) == start
+        start += int(np.prod(shape))
+    assert start == model.values.size == model.grads.size
+    assert model.values.dtype == np.float64 and not np.shares_memory(
+        model.values, model.grads)
+    assert {path for path, _, trained in model.layout() if not trained} == (
+        FROZEN[kind])
+
+
+def test_deep_copy_owns_its_own_store():
+    ds = small_dataset()
+    model = train(ds, quick_config(epochs=1))
+    twin = copy.deepcopy(model)
+    before = model.values.copy()
+    assert np.array_equal(twin.values, before) and twin.history == model.history
+    for path, _, _ in twin.layout():
+        assert np.shares_memory(attrgetter(path)(twin), twin.values), path
+    train(ds, quick_config(epochs=1), model=twin)
+    assert np.array_equal(model.values, before)
+    assert not np.array_equal(twin.values, before)
+
+
+@pytest.mark.parametrize("kind, adapter", ALL_LAYOUTS)
+def test_zero_grad_clears_every_gradient(kind, adapter):
+    model = init_model(quick_config(model_kind=kind, use_adapter=adapter))
+    ds = small_dataset()
+    scores, cache = model_forward(model, ds.age_feats[:8], ds.id_feats[:8], "train")
+    model_backward(model, batch_loss(scores, ds.labels[:8], None,
+                                     quick_config().loss_config())[1], cache)
+    assert model.grads.any()
+    model.zero_grad()
+    reachable = list(_grad_arrays(model, "model"))
+    assert len(reachable) >= 2
+    for path, grad in reachable:
+        assert not grad.any(), path
+
+
+@pytest.mark.parametrize("kind, adapter", ALL_LAYOUTS)
+def test_frozen_biases_stay_zero_after_training(kind, adapter):
+    model = train(small_dataset(), quick_config(model_kind=kind,
+                                                use_adapter=adapter))
+    for path in FROZEN[kind]:
+        if path.endswith("bias"):
+            assert not attrgetter(path)(model).any(), path
 
 
 # ------------------------------------------------------------------ optimizer
@@ -173,6 +268,20 @@ def test_warm_start_validation():
     model = train(ds, quick_config(epochs=1))
     with pytest.raises(ValueError, match="kind"):
         train(ds, quick_config(model_kind="global", epochs=1), model=model)
+    with pytest.raises(ValueError, match="dims"):
+        train(ds, quick_config(dims=small_dims(hidden_dim=9), epochs=1),
+              model=model)
+    with pytest.raises(ValueError, match="use_adapter"):
+        train(ds, quick_config(epochs=1, use_adapter=False), model=model)
+    bare = train(ds, quick_config(epochs=1, use_adapter=False))
+    with pytest.raises(ValueError, match="use_adapter"):
+        train(ds, quick_config(epochs=1), model=bare)
+    # refused before a step: the model did not move
+    before = model.values.copy()
+    with pytest.raises(ValueError, match="use_adapter"):
+        train(ds, quick_config(epochs=1, use_adapter=False), model=model)
+    assert np.array_equal(model.values, before)
+    assert len(model.history) == len(bare.history) == 1
     grown = train(ds, quick_config(epochs=1), model=model)
     assert grown is model
     assert len(model.history) == 2
