@@ -127,20 +127,11 @@ def _train_config(args, dims):
     try:
         return TrainConfig(
             dims=dims, lam=args.lam, delta=args.delta, lr=args.lr,
-            betas=(args.beta1, args.beta2), adam_epsilon=args.adam_epsilon,
             batch_size=args.batch, epochs=args.epochs, seed=args.seed,
             target_mode=args.target_mode, model_kind=args.model,
             use_adapter=args.adapter == "on")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _config_dict(config):
-    doc = dataclasses.asdict(config)
-    for key, value in doc.items():
-        if isinstance(value, tuple):
-            doc[key] = list(value)
-    return doc
 
 
 # ------------------------------------------------------------------- commands
@@ -157,10 +148,13 @@ def cmd_synth(args):
     if not 0.0 < args.train_frac < 1.0:
         raise UsageError(f"train-frac must be in (0, 1), got {args.train_frac}")
     started = _now()
-    os.makedirs(args.out, exist_ok=True)
     dataset, oracle = synth_generate(config)
-    train_set, test_set = split(dataset, (args.train_frac, 1.0 - args.train_frac),
-                                seed=config.seed, by_identity=True)
+    try:
+        train_set, test_set = split(dataset, (args.train_frac, 1.0 - args.train_frac),
+                                    seed=config.seed, by_identity=True)
+    except ValueError as exc:  # too few identities for the fraction
+        raise UsageError(str(exc)) from exc
+    os.makedirs(args.out, exist_ok=True)
     test_oracle = compute_oracle(test_set, config)
     outputs = []
     for name, part in (("train.mafv1", train_set), ("test.mafv1", test_set)):
@@ -178,7 +172,7 @@ def cmd_synth(args):
     oracle_path = os.path.join(args.out, "oracle.json")
     _write_text(oracle_path, json.dumps(oracle_doc, indent=2, sort_keys=True) + "\n")
     outputs.append(oracle_path)
-    conf = _config_dict(config)
+    conf = dataclasses.asdict(config)
     conf["train_frac"] = args.train_frac
     outputs.append(_write_manifest(args.out, "synth", conf, config.seed,
                                    started, outputs))
@@ -200,7 +194,7 @@ def cmd_train(args):
     history_path = _write_text(os.path.join(args.out, "history.csv"),
                                history_csv(model))
     outputs = [model_path, history_path]
-    conf = _config_dict(config)
+    conf = dataclasses.asdict(config)
     conf["data"] = args.data
     outputs.append(_write_manifest(args.out, "train", conf, config.seed,
                                    started, outputs))
@@ -249,7 +243,7 @@ def cmd_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     csv_path = _write_text(os.path.join(args.out, "sweep.csv"), sweep_csv(rows))
     outputs = [csv_path]
-    conf = _config_dict(config)
+    conf = dataclasses.asdict(config)
     conf.update({"data": args.data, "test": args.test,
                  "lambdas": lambdas, "deltas": deltas})
     outputs.append(_write_manifest(args.out, "sweep", conf, config.seed,
@@ -260,6 +254,8 @@ def cmd_sweep(args):
 
 
 def cmd_retrieve(args):
+    if not 0.0 < args.fraction <= 0.5:
+        raise UsageError(f"fraction must be in (0, 0.5], got {args.fraction}")
     started = _now()
     model = load_model(args.model)
     if model.kind != "metaage":
@@ -269,12 +265,10 @@ def cmd_retrieve(args):
     if dataset.age_feats.shape[1] != model.dims.age_dim \
             or dataset.id_feats.shape[1] != model.dims.id_dim:
         raise ValueError("gallery feature widths do not match the checkpoint dims")
-    if not 0.0 < args.fraction <= 0.5:
-        raise UsageError(f"fraction must be in (0, 0.5], got {args.fraction}")
     embeddings = weight_embeddings(model.meta, dataset.id_feats)
     spread = float(np.ptp(embeddings, axis=0).max()) if len(dataset) else 0.0
     degenerate = spread == 0.0
-    has_ids = len(dataset) > 0 and dataset.identity_ids.min() >= 0
+    has_ids = dataset.has_all_identities()
     queries = []
     top_rates = []
     bottom_rates = []
@@ -331,9 +325,6 @@ def _add_train_flags(sub):
     sub.add_argument("--lr", type=float, default=1e-4)
     sub.add_argument("--lambda", dest="lam", type=float, default=0.2)
     sub.add_argument("--delta", type=float, default=2.0)
-    sub.add_argument("--beta1", type=float, default=0.9)
-    sub.add_argument("--beta2", type=float, default=0.999)
-    sub.add_argument("--adam-epsilon", type=float, default=1e-8)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--target-mode", choices=("hard_onehot", "label_distribution"),
                      default="hard_onehot")

@@ -93,6 +93,9 @@ class Dataset:
     def has_all_sigmas(self):
         return len(self) > 0 and not np.isnan(self.sigmas).any()
 
+    def has_all_identities(self):
+        return len(self) > 0 and self.identity_ids.min() >= 0
+
 
 def subset(dataset, indices):
     """New dataset holding the given rows (copied, in the given order)."""
@@ -353,9 +356,8 @@ def compute_oracle(dataset, config):
     mae_global = float(np.abs(decoded - dataset.labels).mean())
     mae_personal = float(np.abs(personal - dataset.labels).mean())
     # identity-indexed offsets for reporting: first occurrence of each id
-    ids = dataset.identity_ids
-    if len(dataset) and ids.min() >= 0:
-        _, first = np.unique(ids, return_index=True)
+    if dataset.has_all_identities():
+        _, first = np.unique(dataset.identity_ids, return_index=True)
         offsets = dataset.latent_offsets[first]
     else:
         offsets = dataset.latent_offsets
@@ -377,7 +379,7 @@ def split(dataset, fractions, seed, by_identity=False):
         raise ValueError("fractions must be non-negative")
     rng = np.random.default_rng(seed)
     if by_identity:
-        if len(dataset) == 0 or dataset.identity_ids.min() < 0:
+        if not dataset.has_all_identities():
             raise ValueError("identity-disjoint split needs identity tags "
                              "on every record")
         unique = np.unique(dataset.identity_ids)

@@ -59,8 +59,6 @@ class TrainConfig:
     lam: float = 0.2
     delta: float = 2.0
     lr: float = 1e-4
-    betas: tuple = (0.9, 0.999)
-    adam_epsilon: float = 1e-8
     batch_size: int = 64
     epochs: int = 60
     seed: int = 0
@@ -71,11 +69,6 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        b1, b2 = self.betas
-        if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):
-            raise ValueError(f"betas must lie in (0, 1), got {self.betas}")
-        if self.adam_epsilon <= 0.0:
-            raise ValueError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 1:
@@ -94,45 +87,60 @@ class TrainConfig:
 
 # ------------------------------------------------------------------ optimizer
 
+ADAM_BETAS = (0.9, 0.999)  # decay rates of the first and second moments
+ADAM_EPSILON = 1e-8        # added to the root of the second moment
+
+
 @dataclass
 class AdamState:
-    """First/second moment buffers, parallel to the parameter list."""
+    """Adam's state for one parameter array: moments ``m`` and ``v``, shaped
+    like it, two scratch arrays of the same shape that every step writes its
+    temporaries into, and the step count ``t``.
+    """
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple
     t: int = 0
 
 
-def init_adam(params):
-    return AdamState(m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params])
+def init_adam(param):
+    return AdamState(m=np.zeros_like(param), v=np.zeros_like(param),
+                     scratch=(np.empty_like(param), np.empty_like(param)))
 
 
-def adam_step(params, grads, state, lr, betas, eps):
-    """One bias-corrected Adam update, applied to the parameters in place.
+def adam_step(param, grad, state, lr):
+    """One bias-corrected Adam update, applied to ``param`` in place.
 
-    params, grads, and the state buffers are parallel lists of arrays.
+    ``train`` passes a model's whole ``values`` and ``grads`` buffers. Every
+    temporary lands in ``state.scratch``, so a step allocates no array of the
+    parameter's size. An element whose gradient and moments are all zero,
+    such as one of a frozen block, is left unchanged bit for bit.
     """
-    if not (len(params) == len(grads) == len(state.m) == len(state.v)):
-        raise ValueError(f"parameter list lengths disagree: {len(params)} params, "
-                         f"{len(grads)} grads, {len(state.m)} moment buffers")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape or p.shape != state.m[i].shape:
-            raise ValueError(f"parameter {i}: shapes {p.shape} / {g.shape} / "
-                             f"{state.m[i].shape} disagree")
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient in parameter {i} (shape {g.shape})")
+    if not param.shape == grad.shape == state.m.shape:
+        raise ValueError(f"shapes disagree: param {param.shape}, grad {grad.shape}, "
+                         f"moments {state.m.shape}")
+    if not np.isfinite(grad).all():
+        raise FloatingPointError(f"non-finite gradient (shape {grad.shape})")
     state.t += 1
-    b1, b2 = betas
-    correct1 = 1.0 - b1 ** state.t
-    correct2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+    b1, b2 = ADAM_BETAS
+    a, b = state.scratch
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g²
+    np.multiply(grad, 1.0 - b1, out=a)
+    state.m *= b1
+    state.m += a
+    np.multiply(grad, grad, out=a)
+    a *= 1.0 - b2
+    state.v *= b2
+    state.v += a
+    # param -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+    np.divide(state.v, 1.0 - b2 ** state.t, out=a)
+    np.sqrt(a, out=a)
+    a += ADAM_EPSILON
+    np.divide(state.m, 1.0 - b1 ** state.t, out=b)
+    b *= lr
+    b /= a
+    param -= b
 
 
 # --------------------------------------------------------------------- models
@@ -174,7 +182,7 @@ def _concat_backward(mlp, grad_scores, cache):
     grad_hidden = affine_backward(grad_scores, hidden, mlp.output)
     grad_normed = relu_backward(grad_hidden, normed)
     grad_pre = batchnorm_backward(grad_normed, bn_cache, mlp.bn)
-    return affine_backward(grad_pre, x, mlp.hidden)[:, :mlp.dims.age_dim]
+    return _weight_backward(mlp.hidden, grad_pre, x)[:, :mlp.dims.age_dim]
 
 
 def _mlp_layout(in_dim, hidden_dim, out_dim, output_bias):
@@ -191,9 +199,12 @@ def _mlp_layout(in_dim, hidden_dim, out_dim, output_bias):
             ("output.bias", (out_dim,), output_bias))
 
 
-def _global_backward(table, grad_scores, g):
-    table.grad_weight += grad_scores.T @ g
-    return grad_scores @ table.weight
+def _weight_backward(layer, grad_out, x):
+    """``affine_backward`` for a layer whose bias is frozen: the bias
+    gradient stays untouched, so it remains exactly zero.
+    """
+    layer.grad_weight += grad_out.T @ x
+    return grad_out @ layer.weight
 
 
 @dataclass(frozen=True)
@@ -223,7 +234,7 @@ _KINDS = {
         init=lambda d, seed: init_affine(d.n_classes, d.age_dim,
                                          np.random.default_rng(seed)),
         forward=lambda table, g, id_feats, mode: (g @ table.weight.T, g),
-        backward=_global_backward,
+        backward=_weight_backward,
         layout=lambda d: (("weight", (d.n_classes, d.age_dim), True),)),
     "concat": _Kind(
         code=2, slot="mlp", init=init_concat,
@@ -248,8 +259,9 @@ class TrainedModel:
     file order, and its attribute is rebound to a view of it; the block's
     gradient buffer, where its layer has one, is copied and rebound the
     same way into the parallel buffer ``grads``. An array held from before
-    construction is then detached from the model. A deep copy owns buffers
-    of its own.
+    construction is then detached from the model. A pickled, copied or
+    deep-copied model is rebuilt around buffers of its own, with ``values``
+    and ``history`` copied and ``grads`` zero.
     """
 
     kind: str
@@ -288,14 +300,11 @@ class TrainedModel:
                 view[...] = array
                 setattr(owner, name, view)
 
-    def __deepcopy__(self, memo):
-        # rebuilt through the constructor: copied field by field, every view
-        # would become an array detached from the copied buffers
-        return TrainedModel(kind=self.kind, dims=copy.deepcopy(self.dims, memo),
-                            adapter=copy.deepcopy(self.adapter, memo),
-                            history=copy.deepcopy(self.history, memo),
-                            **{_KINDS[self.kind].slot:
-                               copy.deepcopy(self.params, memo)})
+    def __reduce__(self):
+        # copied field by field, every view would become an array detached
+        # from the copied buffers
+        return _restore, (self.kind, self.dims, self.adapter is not None,
+                          self.values, self.history)
 
     @property
     def params(self):
@@ -322,12 +331,24 @@ class TrainedModel:
                 if trained}
 
 
+def _build(kind, dims, adapter, seed):
+    """A new model of the kind, freshly seeded, with an identity adapter if asked."""
+    spec = _KINDS[kind]
+    return TrainedModel(kind=kind, dims=dims,
+                        adapter=init_adapter(dims) if adapter else None,
+                        **{spec.slot: spec.init(dims, seed)})
+
+
+def _restore(kind, dims, adapter, values, history):
+    """The model ``TrainedModel.__reduce__`` describes, owning its buffers."""
+    model = _build(kind, dims, adapter, 0)
+    model.values[...] = values
+    model.history = list(history)
+    return model
+
+
 def init_model(config):
-    d = config.dims
-    spec = _KINDS[config.model_kind]
-    return TrainedModel(kind=config.model_kind, dims=d,
-                        adapter=init_adapter(d) if config.use_adapter else None,
-                        **{spec.slot: spec.init(d, config.seed)})
+    return _build(config.model_kind, config.dims, config.use_adapter, config.seed)
 
 
 # ----------------------------------------------------------- forward/backward
@@ -413,10 +434,7 @@ def train(dataset, config, model=None):
             raise ValueError(f"model {'has no' if model.adapter is None else 'has an'}"
                              f" adapter, config use_adapter={config.use_adapter}")
     loss_cfg = config.loss_config()
-    named = model.trainable()
-    params = [p for p, _ in named.values()]
-    grads = [g for _, g in named.values()]
-    state = init_adam(params)
+    state = init_adam(model.values)
     n = len(dataset)
     for epoch in range(config.epochs):
         loss_sum = 0.0
@@ -436,8 +454,7 @@ def train(dataset, config, model=None):
                     f"loss became non-finite at epoch {epoch + 1}, "
                     f"batch {batch_index} ({model.kind} model)")
             model_backward(model, grad_scores, cache)
-            adam_step(params, grads, state, config.lr, config.betas,
-                      config.adam_epsilon)
+            adam_step(model.values, model.grads, state, config.lr)
             preds = expected_ages(softmax(scores))
             loss_sum += loss * idx.size
             abs_err_sum += float(np.abs(preds - dataset.labels[idx]).sum())
@@ -470,9 +487,8 @@ def lambda_delta_sweep(dataset, config, lambda_grid, delta_grid, holdout=None):
     if not lambda_grid or not delta_grid:
         raise ValueError("sweep grids must be non-empty")
     if holdout is None:
-        by_id = len(dataset) > 0 and dataset.identity_ids.min() >= 0
         train_set, test_set = split(dataset, (0.8, 0.2), config.seed,
-                                    by_identity=by_id)
+                                    by_identity=dataset.has_all_identities())
     else:
         train_set, test_set = dataset, holdout
     rows = []
@@ -606,10 +622,7 @@ def _load(path, version):
                 f"holds {size - offset}")
         if size > offset + payload:
             raise CheckpointError(f"trailing data at byte offset {offset + payload}")
-        spec = _KINDS[kind]
-        model = TrainedModel(kind=kind, dims=dims,
-                             adapter=init_adapter(dims) if adapter else None,
-                             **{spec.slot: spec.init(dims, 0)})
+        model = _build(kind, dims, adapter, 0)
         got = fh.readinto(model.values)
         if got != payload:
             raise CheckpointError(

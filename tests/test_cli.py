@@ -231,8 +231,17 @@ def test_exit_codes(workspace, tmp_path, capsys):
     assert run("train", "--data", str(workspace / "data" / "train.mafv1"),
                "--seed", "-1", "--out", str(tmp_path / "neg_train")) == 2
     assert run("synth", "--seed", "-3", "--out", str(tmp_path / "neg_synth")) == 2
-    assert not (tmp_path / "neg_train").exists()
-    assert not (tmp_path / "neg_synth").exists()
+    # one identity cannot be split identity-disjoint; a bad retrieval
+    # fraction is refused before the model is read
+    assert run("synth", "--identities", "1", "--out", str(tmp_path / "one_id")) == 2
+    assert run("retrieve", "--model", str(tmp_path / "missing.mapc"),
+               "--data", str(workspace / "data" / "test.mafv1"),
+               "--fraction", "3", "--out", str(tmp_path / "bad_fraction")) == 2
+    # Adam's betas and epsilon are constants, not flags
+    assert run("train", "--data", str(workspace / "data" / "train.mafv1"),
+               "--beta1", "0.5", "--out", str(tmp_path / "beta_train")) == 2
+    for out in ("neg_train", "neg_synth", "one_id", "bad_fraction", "beta_train"):
+        assert not (tmp_path / out).exists(), out
     assert run("eval", "--model", str(workspace / "data" / "train.mafv1"),
                "--data", str(workspace / "data" / "test.mafv1"),
                "--out", str(tmp_path / "x")) == 1  # data file is not a checkpoint

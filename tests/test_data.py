@@ -64,6 +64,8 @@ def test_record_view():
     assert len(ds2) == 6
     assert not np.isnan(ds2.sigmas).any() and (ds2.identity_ids >= 0).all()
     assert ds2.has_all_sigmas() and not ds.has_all_sigmas()
+    assert ds2.has_all_identities() and not ds.has_all_identities()
+    assert not subset(ds2, np.arange(0)).has_all_identities()
 
 
 # ---------------------------------------------------------------- file format

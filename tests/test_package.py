@@ -1,6 +1,8 @@
-"""The package surface: the README quick start and the export list."""
+"""The package surface: the README quick start, the export list and the
+source line counter."""
 
 import contextlib
+import importlib.util
 import io
 import math
 import pathlib
@@ -8,7 +10,8 @@ import re
 
 import persage
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_quick_start_runs_as_written():
@@ -29,3 +32,27 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names)), sorted(
         n for n in set(names) if names.count(n) > 1)
     assert [n for n in names if not hasattr(persage, n)] == []
+
+
+def test_src_lines_counts_code_only(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", ROOT / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    sample = tmp_path / "sample.py"
+    sample.write_text('''"""Module docstring,
+over two lines."""
+
+# a comment
+X = """not a docstring:
+three lines
+of code"""
+
+
+def f(a,
+      b):
+    """Function docstring."""
+    return a + b  # trailing comment
+''')
+    # X's three lines, the def's two and the return
+    assert src_lines.count(sample) == (6, 13)

@@ -1,6 +1,7 @@
 """Optimizer, training-loop, and checkpoint-v2 behavior."""
 
 import copy
+import pickle
 import struct
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
@@ -16,7 +17,6 @@ from persage.mathcore import AffineLayer, affine_forward, grad_check, init_affin
 from persage.metalearner import Dims, init_params
 from persage.training import (
     MODEL_KINDS,
-    AdamState,
     CheckpointError,
     TrainConfig,
     TrainedModel,
@@ -62,14 +62,11 @@ def quick_config(**kw):
 def test_config_defaults_and_validation():
     cfg = TrainConfig(dims=small_dims())
     assert cfg.lr == 1e-4
-    assert cfg.betas == (0.9, 0.999)
     assert cfg.batch_size == 64 and cfg.epochs == 60
     assert cfg.lam == 0.2 and cfg.delta == 2.0
     assert cfg.model_kind == "metaage" and cfg.use_adapter
-    for bad in (dict(lr=0.0), dict(lr=-1.0), dict(betas=(1.0, 0.999)),
-                dict(betas=(0.9, 0.0)), dict(adam_epsilon=0.0),
-                dict(batch_size=1), dict(epochs=0), dict(model_kind="mlp"),
-                dict(lam=-0.1), dict(target_mode="nonsense")):
+    for bad in (dict(lr=0.0), dict(lr=-1.0), dict(batch_size=1), dict(epochs=0),
+                dict(model_kind="mlp"), dict(lam=-0.1), dict(target_mode="nonsense")):
         with pytest.raises(ValueError):
             TrainConfig(dims=small_dims(), **bad)
     with pytest.raises(ValueError, match="seed"):
@@ -142,17 +139,27 @@ def test_every_block_is_a_view_of_the_store(kind, adapter):
         FROZEN[kind])
 
 
-def test_deep_copy_owns_its_own_store():
+@pytest.mark.parametrize("duplicate", [
+    copy.deepcopy, copy.copy, lambda model: pickle.loads(pickle.dumps(model))],
+    ids=["deepcopy", "copy", "pickle"])
+def test_deep_copy_owns_its_own_store(duplicate):
     ds = small_dataset()
     model = train(ds, quick_config(epochs=1))
-    twin = copy.deepcopy(model)
+    twin = duplicate(model)
     before = model.values.copy()
-    assert np.array_equal(twin.values, before) and twin.history == model.history
+    history = list(model.history)
+    assert np.array_equal(twin.values, before) and twin.history == history
+    assert not np.shares_memory(twin.values, model.values)
     for path, _, _ in twin.layout():
+        owner, _, leaf = path.rpartition(".")
         assert np.shares_memory(attrgetter(path)(twin), twin.values), path
+        grad = getattr(attrgetter(owner)(twin), "grad_" + leaf, None)
+        if grad is not None:
+            assert np.shares_memory(grad, twin.grads), path
     train(ds, quick_config(epochs=1), model=twin)
-    assert np.array_equal(model.values, before)
+    assert np.array_equal(model.values, before) and model.history == history
     assert not np.array_equal(twin.values, before)
+    assert len(twin.history) == 2
 
 
 @pytest.mark.parametrize("kind, adapter", ALL_LAYOUTS)
@@ -163,6 +170,11 @@ def test_zero_grad_clears_every_gradient(kind, adapter):
     model_backward(model, batch_loss(scores, ds.labels[:8], None,
                                      quick_config().loss_config())[1], cache)
     assert model.grads.any()
+    # no backward writes the gradient of a frozen block, so a whole-buffer
+    # Adam step (zero gradient, zero moments) leaves it unchanged bit for bit
+    for path, _, trained, start, stop in training._spans(model.layout()):
+        if not trained:
+            assert not model.grads[start:stop].any(), path
     model.zero_grad()
     reachable = list(_grad_arrays(model, "model"))
     assert len(reachable) >= 2
@@ -185,50 +197,76 @@ def test_adam_zero_grads_leave_params_unchanged():
     rng = np.random.default_rng(0)
     p = rng.normal(size=(3, 4))
     before = p.copy()
-    state = init_adam([p])
-    adam_step([p], [np.zeros_like(p)], state, 1e-2, (0.9, 0.999), 1e-8)
+    state = init_adam(p)
+    adam_step(p, np.zeros_like(p), state, 1e-2)
     assert np.array_equal(p, before)
     assert state.t == 1
     # nonzero moments decay by exactly beta under a zero gradient
-    state.m[0][:] = 1.0
-    state.v[0][:] = 1.0
-    adam_step([p], [np.zeros_like(p)], state, 1e-2, (0.9, 0.999), 1e-8)
-    assert np.allclose(state.m[0], 0.9)
-    assert np.allclose(state.v[0], 0.999)
+    state.m[:] = 1.0
+    state.v[:] = 1.0
+    adam_step(p, np.zeros_like(p), state, 1e-2)
+    assert np.allclose(state.m, 0.9)
+    assert np.allclose(state.v, 0.999)
 
 
 def test_adam_first_step_magnitude():
     # bias correction makes the first update ~ lr regardless of beta values
     p = np.array([5.0])
-    state = init_adam([p])
-    adam_step([p], [np.array([1.0])], state, 1e-3, (0.9, 0.999), 1e-8)
+    state = init_adam(p)
+    adam_step(p, np.array([1.0]), state, 1e-3)
     assert abs((5.0 - p[0]) - 1e-3) < 1e-10
 
 
 def test_adam_deterministic_and_second_moments_nonnegative():
-    rng = np.random.default_rng(3)
     trajectories = []
     for _ in range(2):
         p = np.linspace(-1, 1, 6).reshape(2, 3)
-        state = init_adam([p])
+        state = init_adam(p)
         rng_local = np.random.default_rng(7)
         for _ in range(20):
             g = rng_local.normal(size=p.shape)
-            adam_step([p], [g], state, 1e-2, (0.9, 0.999), 1e-8)
-            assert np.all(state.v[0] >= 0.0)
+            adam_step(p, g, state, 1e-2)
+            assert np.all(state.v >= 0.0)
         trajectories.append(p.copy())
     assert np.array_equal(trajectories[0], trajectories[1])
 
 
 def test_adam_rejects_bad_input():
     p = np.zeros(3)
-    state = init_adam([p])
-    with pytest.raises(ValueError):
-        adam_step([p], [np.zeros(4)], state, 1e-3, (0.9, 0.999), 1e-8)
-    with pytest.raises(ValueError):
-        adam_step([p], [np.zeros(3)], AdamState(m=[], v=[]), 1e-3, (0.9, 0.999), 1e-8)
+    state = init_adam(p)
+    with pytest.raises(ValueError, match="shapes"):
+        adam_step(p, np.zeros(4), state, 1e-3)
+    with pytest.raises(ValueError, match="shapes"):
+        adam_step(p, np.zeros(3), init_adam(np.zeros(4)), 1e-3)
     with pytest.raises(FloatingPointError):
-        adam_step([p], [np.array([1.0, np.nan, 0.0])], state, 1e-3, (0.9, 0.999), 1e-8)
+        adam_step(p, np.array([1.0, np.nan, 0.0]), state, 1e-3)
+    assert state.t == 0 and not p.any()
+
+
+def test_adam_scratch_form_matches_textbook_update_bitwise():
+    # the reference: Kingma & Ba's update, written with fresh temporaries
+    b1, b2 = training.ADAM_BETAS
+    eps, lr = training.ADAM_EPSILON, 1e-2
+    rng = np.random.default_rng(11)
+    p = rng.normal(size=40)
+    ref = p.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    state = init_adam(p)
+    frozen = slice(10, 25)  # a span whose gradient is always exactly zero
+    for t in range(1, 21):
+        g = rng.normal(size=p.shape)
+        g[frozen] = 0.0
+        adam_step(p, g, state, lr)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        ref -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        assert p.tobytes() == ref.tobytes(), t
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+    assert state.t == 20
+    assert p[frozen].tobytes() == np.random.default_rng(11).normal(
+        size=40)[frozen].tobytes()
 
 
 # ------------------------------------------------------------------- training
