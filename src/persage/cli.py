@@ -1,10 +1,12 @@
 """Command-line interface: data generation, training, evaluation, sweeps,
 and weight-space retrieval.
 
-Every command writes its artifacts plus one ``manifest.json`` recording the
-command name, the fully resolved configuration, the seed, start/end
-timestamps, and the paths written. Outputs other than the manifest are
-byte-reproducible from the same inputs and flags.
+Each command computes and returns its artifacts without writing anything;
+``main`` then creates ``--out``, writes them, and writes ``manifest.json``
+last, recording the command name, the fully resolved configuration, the
+seed, start/end timestamps, and the paths written. A command that fails
+leaves no ``--out``. Outputs other than the manifest are byte-reproducible
+from the same inputs and flags.
 
 A ``--config FILE`` flag (flat ``key=value`` lines, ``#`` comments) may stand
 in for command flags; explicit flags override file values. Exit codes:
@@ -17,6 +19,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +52,15 @@ class UsageError(Exception):
     """Bad flag values; maps to exit code 2."""
 
 
+class CommandOutput(NamedTuple):
+    """What a command produced; ``main`` writes it into ``--out``."""
+
+    config: dict        # the manifest's resolved configuration
+    seed: int | None
+    files: list         # (file name, text or a function writing that path)
+    message: str        # printed to stdout once everything is written
+
+
 def _fmt(value):
     """Human-facing float formatting, 6 significant digits."""
     return format(float(value), ".6g")
@@ -58,26 +70,27 @@ def _now():
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_manifest(out_dir, command, config, seed, started, outputs):
-    path = os.path.join(out_dir, "manifest.json")
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "started": started,
-        "finished": _now(),
-        "outputs": [str(p) for p in outputs] + [path],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def _json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
+def _write_out(out_dir, command, output, started):
+    """Create ``out_dir``, write the files in order, then the manifest."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for name, content in output.files:
+        path = os.path.join(out_dir, name)
+        if callable(content):
+            content(path)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        paths.append(path)
+    paths.append(os.path.join(out_dir, "manifest.json"))
+    manifest = {"command": command, "config": output.config, "seed": output.seed,
+                "started": started, "finished": _now(), "outputs": paths}
+    with open(paths[-1], "w", encoding="utf-8") as fh:
+        fh.write(_json_text(manifest))
 
 
 def _expand_config_flag(argv):
@@ -85,8 +98,6 @@ def _expand_config_flag(argv):
 
     The expansion lands where the flag stood, but explicit flags win because
     file-derived flags are inserted at the front of the flag list."""
-    if "--config" not in argv and not any(a.startswith("--config=") for a in argv):
-        return list(argv)
     out = list(argv)
     for i, token in enumerate(out):
         if token == "--config":
@@ -118,19 +129,23 @@ def _expand_config_flag(argv):
     return out[:1] + expanded + out[1:]
 
 
-def _dims_for(dataset, hidden):
-    return Dims(n_classes=dataset.n_classes, age_dim=dataset.age_dim,
-                id_dim=dataset.id_dim, hidden_dim=hidden)
-
-
-def _train_config(args, dims):
+def _train_config(args, dataset):
     try:
+        dims = Dims(n_classes=dataset.n_classes, age_dim=dataset.age_dim,
+                    id_dim=dataset.id_dim, hidden_dim=args.hidden)
         return TrainConfig(
             dims=dims, lam=args.lam, delta=args.delta, lr=args.lr,
             batch_size=args.batch, epochs=args.epochs, seed=args.seed,
             target_mode=args.target_mode, model_kind=args.model,
             use_adapter=args.adapter == "on")
     except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _split(dataset, fractions, seed, by_identity):
+    try:
+        return split(dataset, fractions, seed=seed, by_identity=by_identity)
+    except ValueError as exc:  # too few identities for the fractions
         raise UsageError(str(exc)) from exc
 
 
@@ -147,20 +162,10 @@ def cmd_synth(args):
         raise UsageError(str(exc)) from exc
     if not 0.0 < args.train_frac < 1.0:
         raise UsageError(f"train-frac must be in (0, 1), got {args.train_frac}")
-    started = _now()
     dataset, oracle = synth_generate(config)
-    try:
-        train_set, test_set = split(dataset, (args.train_frac, 1.0 - args.train_frac),
-                                    seed=config.seed, by_identity=True)
-    except ValueError as exc:  # too few identities for the fraction
-        raise UsageError(str(exc)) from exc
-    os.makedirs(args.out, exist_ok=True)
+    train_set, test_set = _split(dataset, (args.train_frac, 1.0 - args.train_frac),
+                                 config.seed, by_identity=True)
     test_oracle = compute_oracle(test_set, config)
-    outputs = []
-    for name, part in (("train.mafv1", train_set), ("test.mafv1", test_set)):
-        path = os.path.join(args.out, name)
-        write_features(path, part)
-        outputs.append(path)
     oracle_doc = {
         "bayes_mae_global": test_oracle.bayes_mae_global,
         "bayes_mae_personal": test_oracle.bayes_mae_personal,
@@ -169,56 +174,43 @@ def cmd_synth(args):
         "n_train": len(train_set),
         "n_test": len(test_set),
     }
-    oracle_path = os.path.join(args.out, "oracle.json")
-    _write_text(oracle_path, json.dumps(oracle_doc, indent=2, sort_keys=True) + "\n")
-    outputs.append(oracle_path)
     conf = dataclasses.asdict(config)
     conf["train_frac"] = args.train_frac
-    outputs.append(_write_manifest(args.out, "synth", conf, config.seed,
-                                   started, outputs))
-    print(f"wrote {len(train_set)} train / {len(test_set)} test samples; "
-          f"test-split oracle mae global {_fmt(test_oracle.bayes_mae_global)}, "
-          f"personal {_fmt(test_oracle.bayes_mae_personal)}")
-    return 0
+    files = [("train.mafv1", lambda path: write_features(path, train_set)),
+             ("test.mafv1", lambda path: write_features(path, test_set)),
+             ("oracle.json", _json_text(oracle_doc))]
+    return CommandOutput(
+        conf, config.seed, files,
+        f"wrote {len(train_set)} train / {len(test_set)} test samples; "
+        f"test-split oracle mae global {_fmt(test_oracle.bayes_mae_global)}, "
+        f"personal {_fmt(test_oracle.bayes_mae_personal)}")
 
 
 def cmd_train(args):
-    started = _now()
     dataset = read_features(args.data)
-    dims = _dims_for(dataset, args.hidden)
-    config = _train_config(args, dims)
-    os.makedirs(args.out, exist_ok=True)
+    config = _train_config(args, dataset)
     model = train(dataset, config)
-    model_path = os.path.join(args.out, "model.mapc")
-    save_model(model_path, model)
-    history_path = _write_text(os.path.join(args.out, "history.csv"),
-                               history_csv(model))
-    outputs = [model_path, history_path]
     conf = dataclasses.asdict(config)
     conf["data"] = args.data
-    outputs.append(_write_manifest(args.out, "train", conf, config.seed,
-                                   started, outputs))
     loss, train_mae = model.history[-1]
-    print(f"{config.model_kind}: {config.epochs} epochs, final loss "
-          f"{_fmt(loss)}, train mae {_fmt(train_mae)}")
-    return 0
+    files = [("model.mapc", lambda path: save_model(path, model)),
+             ("history.csv", history_csv(model))]
+    return CommandOutput(
+        conf, config.seed, files,
+        f"{config.model_kind}: {config.epochs} epochs, final loss "
+        f"{_fmt(loss)}, train mae {_fmt(train_mae)}")
 
 
 def cmd_eval(args):
-    started = _now()
     model = load_model(args.model)
     dataset = read_features(args.data)
     result = evaluate(model, dataset)
-    os.makedirs(args.out, exist_ok=True)
-    json_path = _write_text(os.path.join(args.out, "eval.json"), result.to_json())
-    csv_path = _write_text(os.path.join(args.out, "cs_curve.csv"), result.cs_csv())
-    outputs = [json_path, csv_path]
-    conf = {"model": args.model, "data": args.data}
-    outputs.append(_write_manifest(args.out, "eval", conf, None, started, outputs))
     eps = "n/a" if result.eps_error is None else _fmt(result.eps_error)
-    print(f"mae {_fmt(result.mae)}, cs(5) {_fmt(dict(result.cs_curve).get(5, 0.0))}, "
-          f"eps-error {eps}, n {result.n_samples}")
-    return 0
+    files = [("eval.json", result.to_json()), ("cs_curve.csv", result.cs_csv())]
+    return CommandOutput(
+        {"model": args.model, "data": args.data}, None, files,
+        f"mae {_fmt(result.mae)}, cs(5) {_fmt(dict(result.cs_curve).get(5, 0.0))}, "
+        f"eps-error {eps}, n {result.n_samples}")
 
 
 def _parse_grid(text, what):
@@ -234,29 +226,26 @@ def _parse_grid(text, what):
 def cmd_sweep(args):
     lambdas = _parse_grid(args.lambdas, "--lambdas")
     deltas = _parse_grid(args.deltas, "--deltas")
-    started = _now()
     dataset = read_features(args.data)
-    holdout = read_features(args.test) if args.test else None
-    dims = _dims_for(dataset, args.hidden)
-    config = _train_config(args, dims)
-    rows = lambda_delta_sweep(dataset, config, lambdas, deltas, holdout=holdout)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = _write_text(os.path.join(args.out, "sweep.csv"), sweep_csv(rows))
-    outputs = [csv_path]
+    config = _train_config(args, dataset)
+    if args.test:
+        train_set, holdout = dataset, read_features(args.test)
+    else:  # 80/20, identity-disjoint when every record is tagged
+        train_set, holdout = _split(dataset, (0.8, 0.2), config.seed,
+                                    by_identity=dataset.has_all_identities())
+    rows = lambda_delta_sweep(train_set, config, lambdas, deltas, holdout)
     conf = dataclasses.asdict(config)
     conf.update({"data": args.data, "test": args.test,
                  "lambdas": lambdas, "deltas": deltas})
-    outputs.append(_write_manifest(args.out, "sweep", conf, config.seed,
-                                   started, outputs))
-    for lam, delta, mae_value in rows:
-        print(f"lambda {_fmt(lam)} delta {_fmt(delta)}: test mae {_fmt(mae_value)}")
-    return 0
+    return CommandOutput(
+        conf, config.seed, [("sweep.csv", sweep_csv(rows))],
+        "\n".join(f"lambda {_fmt(lam)} delta {_fmt(delta)}: test mae {_fmt(mae_value)}"
+                  for lam, delta, mae_value in rows))
 
 
 def cmd_retrieve(args):
     if not 0.0 < args.fraction <= 0.5:
         raise UsageError(f"fraction must be in (0, 0.5], got {args.fraction}")
-    started = _now()
     model = load_model(args.model)
     if model.kind != "metaage":
         raise ValueError(f"retrieval needs per-sample generated weights; "
@@ -298,21 +287,16 @@ def cmd_retrieve(args):
             float(np.mean(bottom_rates)) if bottom_rates else None,
         "queries": queries,
     }
-    os.makedirs(args.out, exist_ok=True)
-    report_path = _write_text(os.path.join(args.out, "retrieval.json"),
-                              json.dumps(report, indent=2, sort_keys=True) + "\n")
-    outputs = [report_path]
-    conf = {"model": args.model, "data": args.data, "fraction": args.fraction}
-    outputs.append(_write_manifest(args.out, "retrieve", conf, None, started,
-                                   outputs))
     if degenerate:
-        print("degenerate: all embeddings identical (zero residual)")
+        message = "degenerate: all embeddings identical (zero residual)"
     elif has_ids:
-        print(f"{len(dataset)} queries; same-identity rate "
-              f"top {_fmt(np.mean(top_rates))} vs bottom {_fmt(np.mean(bottom_rates))}")
+        message = (f"{len(dataset)} queries; same-identity rate top "
+                   f"{_fmt(np.mean(top_rates))} vs bottom {_fmt(np.mean(bottom_rates))}")
     else:
-        print(f"{len(dataset)} queries ranked (no identity tags)")
-    return 0
+        message = f"{len(dataset)} queries ranked (no identity tags)"
+    return CommandOutput(
+        {"model": args.model, "data": args.data, "fraction": args.fraction},
+        None, [("retrieval.json", _json_text(report))], message)
 
 
 # --------------------------------------------------------------------- parser
@@ -390,20 +374,14 @@ def build_parser():
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        argv = _expand_config_flag(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        argv = _expand_config_flag(sys.argv[1:] if argv is None else argv)
+        args = build_parser().parse_args(argv)
+        started = _now()
+        output = args.func(args)
+        _write_out(args.out, args.command, output, started)
+    except SystemExit as exc:  # argparse's own usage errors, --help
         return int(exc.code or 0)
-    try:
-        return int(args.func(args) or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -411,6 +389,8 @@ def main(argv=None):
             ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(output.message)
+    return 0
 
 
 if __name__ == "__main__":

@@ -175,14 +175,14 @@ def relu_backward(grad_out, cached_x):
     return np.where(cached_x > 0.0, grad_out, 0.0)
 
 
-def softmax(scores, axis=-1):
-    """Max-subtracted softmax along ``axis``; rejects NaN input."""
+def softmax(scores):
+    """Max-subtracted softmax along the last axis; rejects NaN input."""
     scores = np.asarray(scores, dtype=np.float64)
     if np.isnan(scores).any():
         raise ValueError("softmax input contains NaN")
-    shifted = scores - scores.max(axis=axis, keepdims=True)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -199,15 +199,18 @@ class GradCheckReport:
         return f"grad check {verdict}: max rel err {self.max_rel_err:.3e} at {where}"
 
 
-def grad_check(loss_fn, params, analytic, tolerance=1e-4, step=1e-5):
+GRAD_CHECK_STEP = 1e-5  # central-difference step, in parameter units
+
+
+def grad_check(loss_fn, params, analytic, tolerance=1e-4):
     """Compare analytic gradients against central finite differences.
 
     loss_fn takes no arguments, reads the current contents of the arrays in
     ``params`` (dict name -> float64 array) and returns a scalar loss. It must
     be deterministic; this is verified by evaluating it twice up front.
     ``analytic`` maps the same names to gradient arrays. Entries of ``params``
-    are perturbed in place with step 1e-5 and restored afterwards. Relative
-    error per coordinate is |a-n| / max(|a|, |n|, 1e-8).
+    are perturbed in place by +-GRAD_CHECK_STEP and restored afterwards.
+    Relative error per coordinate is |a-n| / max(|a|, |n|, 1e-8).
     """
     first = float(loss_fn())
     second = float(loss_fn())
@@ -231,12 +234,12 @@ def grad_check(loss_fn, params, analytic, tolerance=1e-4, step=1e-5):
         gflat = grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + GRAD_CHECK_STEP
             loss_plus = float(loss_fn())
-            flat[i] = orig - step
+            flat[i] = orig - GRAD_CHECK_STEP
             loss_minus = float(loss_fn())
             flat[i] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * step)
+            numeric = (loss_plus - loss_minus) / (2.0 * GRAD_CHECK_STEP)
             a = gflat[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             if rel > param_max:

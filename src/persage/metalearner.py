@@ -289,11 +289,11 @@ def personal_scores_backward(params, grad_scores, cache):
     return grad_scores @ params.w_common + mixed @ params.output.weight.T
 
 
-def generate_weights(params, id_feat, mode="eval"):
-    """Personalized K x D weights for one person's identity features."""
+def generate_weights(params, id_feat):
+    """Personalized K x D weights (eval mode) for one person's identity features."""
     id_feat = np.asarray(id_feat, dtype=np.float64)
     if id_feat.ndim != 1:
         raise ValueError(f"identity features must be a vector, got {id_feat.shape}")
-    weights, _ = generate_weights_batch(params, id_feat[None, :], mode)
+    weights, _ = generate_weights_batch(params, id_feat[None, :], "eval")
     return weights[0]
 

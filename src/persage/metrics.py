@@ -104,7 +104,7 @@ class RetrievalResult:
 
 def weight_embedding(params, id_feat):
     """Flattened personalized weight matrix (eval mode), length K*D."""
-    return generate_weights(params, id_feat, mode="eval").reshape(-1)
+    return generate_weights(params, id_feat).reshape(-1)
 
 
 _EMBED_CHUNK = 256  # identity rows per generate_weights_batch call

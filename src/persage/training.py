@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import batches, split
+from .data import batches
 from .estimator import expected_ages
 from .losses import LossConfig, batch_loss
 from .mathcore import (
@@ -475,27 +475,21 @@ def evaluate(model, dataset):
     return eval_result(preds, dataset.labels, sigmas=sigmas)
 
 
-def lambda_delta_sweep(dataset, config, lambda_grid, delta_grid, holdout=None):
+def lambda_delta_sweep(dataset, config, lambda_grid, delta_grid, holdout):
     """Test MAE over a (lambda, delta) grid, one full run per point.
 
-    Every point trains from the same seed. Without an explicit ``holdout``
-    set the dataset is split 80/20 first, identity-disjoint when identity
-    tags are present. Returns (lambda, delta, mae) rows in grid order.
+    Every point trains on ``dataset`` from the same seed and is scored on
+    ``holdout``. Returns (lambda, delta, mae) rows in grid order.
     """
     lambda_grid = [float(v) for v in lambda_grid]
     delta_grid = [float(v) for v in delta_grid]
     if not lambda_grid or not delta_grid:
         raise ValueError("sweep grids must be non-empty")
-    if holdout is None:
-        train_set, test_set = split(dataset, (0.8, 0.2), config.seed,
-                                    by_identity=dataset.has_all_identities())
-    else:
-        train_set, test_set = dataset, holdout
     rows = []
     for lam in lambda_grid:
         for delta in delta_grid:
             cfg = replace(config, lam=lam, delta=delta)
-            result = evaluate(train(train_set, cfg), test_set)
+            result = evaluate(train(dataset, cfg), holdout)
             rows.append((lam, delta, result.mae))
     return rows
 

@@ -240,7 +240,26 @@ def test_exit_codes(workspace, tmp_path, capsys):
     # Adam's betas and epsilon are constants, not flags
     assert run("train", "--data", str(workspace / "data" / "train.mafv1"),
                "--beta1", "0.5", "--out", str(tmp_path / "beta_train")) == 2
-    for out in ("neg_train", "neg_synth", "one_id", "bad_fraction", "beta_train"):
+    # a run that fails after its flags were accepted writes nothing either:
+    # a diverging train, a zero hidden width, and a sweep whose default
+    # 80/20 split cannot keep one identity on each side
+    with np.errstate(all="ignore"):
+        assert run("train", "--data", str(workspace / "data" / "train.mafv1"),
+                   "--lr", "1e200", "--out", str(tmp_path / "diverged")) == 1
+    assert run("train", "--data", str(workspace / "data" / "train.mafv1"),
+               "--hidden", "0", "--out", str(tmp_path / "no_hidden")) == 2
+    assert run("sweep", "--data", str(workspace / "data" / "train.mafv1"),
+               "--lambdas", "0", "--deltas", "2", *FAST_TRAIN, "--hidden", "0",
+               "--out", str(tmp_path / "no_hidden_sweep")) == 2
+    assert run("synth", "--identities", "2", "--per-identity", "4", "--k", "21",
+               "--offset-max", "2", "--age-dim", "6", "--id-dim", "4",
+               "--latent-dim", "2", "--train-frac", "0.5",
+               "--out", str(tmp_path / "two_ids")) == 0
+    assert run("sweep", "--data", str(tmp_path / "two_ids" / "train.mafv1"),
+               "--lambdas", "0", "--deltas", "2", *FAST_TRAIN,
+               "--out", str(tmp_path / "one_id_sweep")) == 2
+    for out in ("neg_train", "neg_synth", "one_id", "bad_fraction", "beta_train",
+                "diverged", "no_hidden", "no_hidden_sweep", "one_id_sweep"):
         assert not (tmp_path / out).exists(), out
     assert run("eval", "--model", str(workspace / "data" / "train.mafv1"),
                "--data", str(workspace / "data" / "test.mafv1"),
@@ -255,3 +274,4 @@ def test_exit_codes(workspace, tmp_path, capsys):
     cfg.write_text("this is not key value\n")
     assert run("train", "--data", str(workspace / "data" / "train.mafv1"),
                "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+    assert not (tmp_path / "x").exists()

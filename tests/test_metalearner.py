@@ -117,7 +117,7 @@ def test_zero_residual_degenerates_to_common_table():
     rng = np.random.default_rng(0)
     for _ in range(10):
         h = rng.normal(size=dims.id_dim)
-        w = generate_weights(params, h, mode="eval")
+        w = generate_weights(params, h)
         assert np.array_equal(w, params.w_common)
 
 
@@ -128,11 +128,11 @@ def test_distinct_identities_yield_distinct_weights():
     for _ in range(10):
         h1 = rng.normal(size=dims.id_dim)
         h2 = rng.normal(size=dims.id_dim)
-        w1 = generate_weights(params, h1, mode="eval")
-        w2 = generate_weights(params, h2, mode="eval")
+        w1 = generate_weights(params, h1)
+        w2 = generate_weights(params, h2)
         assert not np.allclose(w1, w2)
         # identical input is bitwise reproducible
-        assert np.array_equal(w1, generate_weights(params, h1, mode="eval"))
+        assert np.array_equal(w1, generate_weights(params, h1))
 
 
 def test_residual_depends_only_on_conditioning():
@@ -141,7 +141,7 @@ def test_residual_depends_only_on_conditioning():
     params = init_params(dims, 3)
     rng = np.random.default_rng(2)
     h = rng.normal(size=dims.id_dim)
-    full = generate_weights(params, h, mode="eval")
+    full = generate_weights(params, h)
     for i in range(dims.n_classes):
         row = generate_class_weight(params, h, i, mode="eval")
         assert np.abs(row - full[i]).max() < 1e-12
@@ -154,11 +154,11 @@ def test_batch_matches_per_sample_eval():
     ids = rng.normal(size=(6, dims.id_dim))
     batch, _ = generate_weights_batch(params, ids, mode="eval")
     for b in range(6):
-        single = generate_weights(params, ids[b], mode="eval")
+        single = generate_weights(params, ids[b])
         assert np.abs(batch[b] - single).max() < 1e-12
     # B=1 is bitwise the per-sample op
     one, _ = generate_weights_batch(params, ids[:1], mode="eval")
-    assert np.array_equal(one[0], generate_weights(params, ids[0], mode="eval"))
+    assert np.array_equal(one[0], generate_weights(params, ids[0]))
 
 
 def test_eval_batch_permutation_equivariant():

@@ -1,5 +1,5 @@
-"""The package surface: the README quick start, the export list and the
-source line counter."""
+"""The package surface: the README quick start and command lines, the export
+list and the source line counter."""
 
 import contextlib
 import importlib.util
@@ -7,8 +7,10 @@ import io
 import math
 import pathlib
 import re
+import shlex
 
 import persage
+from persage import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -25,6 +27,20 @@ def test_readme_quick_start_runs_as_written():
     assert len(printed) == 1, out.getvalue()
     age = float(printed[0])
     assert math.isfinite(age) and 0.0 <= age <= 100.0
+
+
+def test_readme_command_lines_parse():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("persage ")]
+    assert {argv[0] for argv in commands} == {
+        "synth", "train", "eval", "sweep", "retrieve"}
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits with status 2 on an unknown flag
 
 
 def test_all_names_resolve_once():

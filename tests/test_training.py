@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from persage import training
-from persage.data import Dataset, SynthConfig, synth_generate
+from persage.data import Dataset, SynthConfig, split, synth_generate
 from persage.losses import batch_loss
 from persage.mathcore import AffineLayer, affine_forward, grad_check, init_affine
 from persage.metalearner import Dims, init_params
@@ -578,20 +578,22 @@ def test_concat_full_gradient_with_adapter():
 # ----------------------------------------------------------------------- sweep
 
 def test_sweep_single_point_equals_direct_run():
-    ds = small_dataset(n_identities=8, per=4)
+    ds, holdout = split(small_dataset(n_identities=8, per=4), (0.8, 0.2), 0,
+                        by_identity=True)
     cfg = quick_config(epochs=2)
-    rows = lambda_delta_sweep(ds, cfg, [0.0], [2.0])
+    rows = lambda_delta_sweep(ds, cfg, [0.0], [2.0], holdout)
     assert len(rows) == 1
     assert rows[0][:2] == (0.0, 2.0)
     # identical split + seed + config reproduces the same number exactly
-    again = lambda_delta_sweep(ds, cfg, [0.0], [2.0])
+    again = lambda_delta_sweep(ds, cfg, [0.0], [2.0], holdout)
     assert rows == again
 
 
 def test_sweep_grid_order_and_csv():
-    ds = small_dataset(n_identities=8, per=4)
+    ds, holdout = split(small_dataset(n_identities=8, per=4), (0.8, 0.2), 0,
+                        by_identity=True)
     cfg = quick_config(epochs=1)
-    rows = lambda_delta_sweep(ds, cfg, [0.0, 0.5], [1.0, 2.0])
+    rows = lambda_delta_sweep(ds, cfg, [0.0, 0.5], [1.0, 2.0], holdout)
     assert [(r[0], r[1]) for r in rows] == [(0.0, 1.0), (0.0, 2.0),
                                             (0.5, 1.0), (0.5, 2.0)]
     text = sweep_csv(rows)
@@ -604,9 +606,9 @@ def test_sweep_grid_order_and_csv():
 def test_sweep_rejects_empty_grid():
     ds = small_dataset()
     with pytest.raises(ValueError):
-        lambda_delta_sweep(ds, quick_config(), [], [2.0])
+        lambda_delta_sweep(ds, quick_config(), [], [2.0], ds)
     with pytest.raises(ValueError):
-        lambda_delta_sweep(ds, quick_config(), [0.2], [])
+        lambda_delta_sweep(ds, quick_config(), [0.2], [], ds)
 
 
 def test_history_csv_format():
