@@ -13,7 +13,8 @@ import numpy as np
 
 from persage.estimator import expected_ages
 from persage.mathcore import softmax
-from persage.metalearner import Dims, generate_weights, init_params
+from persage.metalearner import Dims, generate_weights
+from persage.training import init_params
 
 
 def row_norms(a):

@@ -7,9 +7,10 @@ cross-entropy + ordinal hinge loss), ``metalearner`` (the residual generator
 mapping identity features to K x D classifier weights, and the score head
 that uses them), ``data`` (binary feature files and a synthetic benchmark
 with analytic error floors), ``metrics`` (MAE / cumulative score /
-sigma-weighted error, weight-space retrieval), ``training`` (Adam loop for
-the generator and its global / concatenation baselines, batched eval-mode
-prediction, and the checkpoint files), and ``cli``.
+sigma-weighted error, weight-space retrieval), ``training`` (every model's
+block layout with each block's init rule, the Adam loop for the generator
+and its global / concatenation baselines, batched eval-mode prediction, and
+the checkpoint files), and ``cli``.
 """
 
 from .data import (
@@ -40,7 +41,6 @@ from .metalearner import (
     MetaLearnerParams,
     generate_weights,
     generate_weights_batch,
-    init_params,
     personal_scores,
     personal_scores_backward,
 )
@@ -65,6 +65,7 @@ from .training import (
     adam_step,
     evaluate,
     init_model,
+    init_params,
     lambda_delta_sweep,
     load_model,
     load_params,

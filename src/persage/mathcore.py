@@ -41,8 +41,11 @@ class AffineLayer:
             raise ValueError(
                 f"inconsistent affine shapes: weight {self.weight.shape}, bias {self.bias.shape}"
             )
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
+        # np.zeros, unlike zeros_like, leaves a large buffer's pages
+        # untouched, so a layer built only to be bound into a model costs
+        # no memory for gradients it never uses
+        self.grad_weight = np.zeros(self.weight.shape)
+        self.grad_bias = np.zeros(self.bias.shape)
 
     @property
     def out_dim(self):
@@ -97,8 +100,8 @@ class BatchNormLayer:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if np.any(self.running_var < 0.0):
             raise ValueError("running_var must be >= 0 elementwise")
-        self.grad_gamma = np.zeros_like(self.gamma)
-        self.grad_beta = np.zeros_like(self.beta)
+        self.grad_gamma = np.zeros(self.gamma.shape)
+        self.grad_beta = np.zeros(self.beta.shape)
 
     @property
     def width(self):

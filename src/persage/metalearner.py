@@ -49,8 +49,6 @@ from .mathcore import (
     AffineLayer,
     BatchNormLayer,
     affine_forward,
-    init_affine,
-    init_batchnorm,
 )
 
 
@@ -84,29 +82,8 @@ class MetaLearnerParams:
 
     def __post_init__(self):
         self.w_common = np.asarray(self.w_common, dtype=np.float64)
-        d = self.dims
-        if self.w_common.shape != (d.n_classes, d.age_dim):
-            raise ValueError(f"w_common shape {self.w_common.shape}, "
-                             f"expected ({d.n_classes}, {d.age_dim})")
-        if self.hidden.in_dim != d.residual_in or self.hidden.out_dim != d.hidden_dim:
-            raise ValueError("hidden layer dims disagree with declared dims")
-        if self.bn.width != d.hidden_dim:
-            raise ValueError("batch-norm width disagrees with hidden dim")
-        if self.output.in_dim != d.hidden_dim or self.output.out_dim != d.age_dim:
-            raise ValueError("output layer dims disagree with declared dims")
         if self.grad_w_common is None:
             self.grad_w_common = np.zeros_like(self.w_common)
-
-
-def init_params(dims, seed):
-    """Seeded init: Glorot for all weight matrices including the common table."""
-    rng = np.random.default_rng(seed)
-    w_common = init_affine(dims.n_classes, dims.age_dim, rng).weight
-    hidden = init_affine(dims.hidden_dim, dims.residual_in, rng)
-    bn = init_batchnorm(dims.hidden_dim)
-    output = init_affine(dims.age_dim, dims.hidden_dim, rng)
-    return MetaLearnerParams(w_common=w_common, hidden=hidden, bn=bn,
-                             output=output, dims=dims)
 
 
 def _check_ids(params, id_feats):

@@ -35,8 +35,6 @@ from .mathcore import (
     affine_forward,
     batchnorm_backward,
     batchnorm_forward,
-    init_affine,
-    init_batchnorm,
     relu_backward,
     relu_forward,
     softmax,
@@ -44,7 +42,6 @@ from .mathcore import (
 from .metalearner import (
     Dims,
     MetaLearnerParams,
-    init_params,
     personal_scores,
     personal_scores_backward,
 )
@@ -160,15 +157,6 @@ class ConcatParams:
     dims: Dims
 
 
-def init_concat(dims, seed):
-    rng = np.random.default_rng(seed)
-    return ConcatParams(
-        hidden=init_affine(dims.hidden_dim, dims.age_dim + dims.id_dim, rng),
-        bn=init_batchnorm(dims.hidden_dim),
-        output=init_affine(dims.n_classes, dims.hidden_dim, rng),
-        dims=dims)
-
-
 def _concat_forward(mlp, g, id_feats, mode):
     x = np.concatenate([g, id_feats], axis=1)
     pre = affine_forward(x, mlp.hidden)
@@ -192,11 +180,21 @@ def _mlp_layout(in_dim, hidden_dim, out_dim, output_bias):
     says whether the output bias trains.
     """
     h = hidden_dim
-    return (("hidden.weight", (h, in_dim), True), ("hidden.bias", (h,), False),
-            ("bn.gamma", (h,), True), ("bn.beta", (h,), True),
-            ("bn.running_mean", (h,), False), ("bn.running_var", (h,), False),
-            ("output.weight", (out_dim, h), True),
-            ("output.bias", (out_dim,), output_bias))
+    return (("hidden.weight", (h, in_dim), True, "glorot"),
+            ("hidden.bias", (h,), False, "zeros"),
+            ("bn.gamma", (h,), True, "ones"), ("bn.beta", (h,), True, "zeros"),
+            ("bn.running_mean", (h,), False, "zeros"),
+            ("bn.running_var", (h,), False, "ones"),
+            ("output.weight", (out_dim, h), True, "glorot"),
+            ("output.bias", (out_dim,), output_bias, "zeros"))
+
+
+def _mlp_layers(arrays):
+    """The hidden, bn and output layers over the eight arrays of an
+    ``_mlp_layout``, in its order.
+    """
+    return dict(hidden=AffineLayer(*arrays[0:2]), bn=BatchNormLayer(*arrays[2:6]),
+                output=AffineLayer(*arrays[6:8]))
 
 
 def _weight_backward(layer, grad_out, x):
@@ -213,31 +211,34 @@ class _Kind:
 
     code: int            # the kind byte of a version-2 checkpoint
     slot: str            # the TrainedModel attribute holding the parameters
-    init: Callable       # (dims, seed) -> parameters
+    make: Callable       # (dims, arrays in layout order) -> parameters
     forward: Callable    # (parameters, g, id_feats, mode) -> (scores, cache)
     backward: Callable   # (parameters, grad_scores, cache) -> d(loss)/d(g)
-    layout: Callable     # dims -> blocks as (attribute path, shape, trained)
+    # dims -> blocks as (attribute path, shape, trained, init rule), in file
+    # order; the rule is a key of _INIT_RULES
+    layout: Callable
 
 
 _KINDS = {
     "metaage": _Kind(
-        code=0, slot="meta", init=init_params,
+        code=0, slot="meta",
+        make=lambda d, a: MetaLearnerParams(w_common=a[0], dims=d,
+                                            **_mlp_layers(a[1:])),
         forward=lambda meta, g, id_feats, mode: personal_scores(
             meta, id_feats, g, mode),
         backward=personal_scores_backward,
-        layout=lambda d: (("w_common", (d.n_classes, d.age_dim), True),)
+        layout=lambda d: (("w_common", (d.n_classes, d.age_dim), True, "glorot"),)
         + _mlp_layout(d.residual_in, d.hidden_dim, d.age_dim, False)),
     # only the weight: this keeps the baseline exactly equal to the
     # generator with its residual zeroed, which has no bias either
     "global": _Kind(
         code=1, slot="table",
-        init=lambda d, seed: init_affine(d.n_classes, d.age_dim,
-                                         np.random.default_rng(seed)),
+        make=lambda d, a: AffineLayer(weight=a[0], bias=np.zeros(d.n_classes)),
         forward=lambda table, g, id_feats, mode: (g @ table.weight.T, g),
         backward=_weight_backward,
-        layout=lambda d: (("weight", (d.n_classes, d.age_dim), True),)),
+        layout=lambda d: (("weight", (d.n_classes, d.age_dim), True, "glorot"),)),
     "concat": _Kind(
-        code=2, slot="mlp", init=init_concat,
+        code=2, slot="mlp", make=lambda d, a: ConcatParams(dims=d, **_mlp_layers(a)),
         forward=_concat_forward, backward=_concat_backward,
         layout=lambda d: _mlp_layout(d.age_dim + d.id_dim, d.hidden_dim,
                                      d.n_classes, True)),
@@ -245,9 +246,23 @@ _KINDS = {
 MODEL_KINDS = tuple(_KINDS)
 
 
-def init_adapter(dims):
-    # identity map at the start, so untouched age features pass through
-    return AffineLayer(weight=np.eye(dims.age_dim), bias=np.zeros(dims.age_dim))
+def _glorot(block, rng):
+    # Glorot and Bengio (AISTATS 2010): uniform on +-sqrt(6 / (in + out)),
+    # drawn in place as rng.uniform(-bound, bound) computes it, bit for bit
+    bound = np.sqrt(6.0 / sum(block.shape))
+    rng.random(out=block)
+    block *= 2.0 * bound
+    block -= bound
+
+
+# how each block of a new model starts; a rule that draws takes its numbers
+# from the model's one generator, so the blocks draw in file order
+_INIT_RULES = {
+    "glorot": _glorot,
+    "zeros": lambda block, rng: None,  # the buffer starts zero
+    "ones": lambda block, rng: block.fill(1.0),
+    "identity": lambda block, rng: np.fill_diagonal(block, 1.0),
+}
 
 
 @dataclass
@@ -259,9 +274,12 @@ class TrainedModel:
     file order, and its attribute is rebound to a view of it; the block's
     gradient buffer, where its layer has one, is copied and rebound the
     same way into the parallel buffer ``grads``. An array held from before
-    construction is then detached from the model. A pickled, copied or
-    deep-copied model is rebuilt around buffers of its own, with ``values``
-    and ``history`` copied and ``grads`` zero.
+    construction is then detached from the model. Each layout block also
+    declares its init rule: ``init_model`` fills a new model's ``values``
+    block by block from one generator in file order. A loaded, pickled,
+    copied or deep-copied model draws nothing: it is rebuilt around a zero
+    buffer of its own that the source ``values`` are read into, with
+    ``history`` copied and ``grads`` zero.
     """
 
     kind: str
@@ -286,7 +304,7 @@ class TrainedModel:
         # little-endian, as the checkpoint stores it
         self.values = np.zeros(spans[-1][-1], dtype="<f8")
         self.grads = np.zeros_like(self.values)
-        for path, shape, _, start, stop in spans:
+        for path, shape, _, _, start, stop in spans:
             owner, _, leaf = path.rpartition(".")
             owner = attrgetter(owner)(self)
             for buffer, name in ((self.values, leaf), (self.grads, "grad_" + leaf)):
@@ -312,7 +330,7 @@ class TrainedModel:
         return getattr(self, _KINDS[self.kind].slot)
 
     def layout(self):
-        """The checkpoint blocks as (attribute path, shape, trained)."""
+        """The checkpoint blocks as (attribute path, shape, trained, init rule)."""
         return _layout(self.kind, self.dims, self.adapter is not None)
 
     def zero_grad(self):
@@ -327,21 +345,33 @@ class TrainedModel:
         slot = _KINDS[self.kind].slot + "."
         return {path.removeprefix(slot): (self.values[start:stop].reshape(shape),
                                           self.grads[start:stop].reshape(shape))
-                for path, shape, trained, start, stop in _spans(self.layout())
+                for path, shape, trained, _, start, stop in _spans(self.layout())
                 if trained}
 
 
-def _build(kind, dims, adapter, seed):
-    """A new model of the kind, freshly seeded, with an identity adapter if asked."""
+def _build(kind, dims, adapter, seed=None):
+    """A new model of the kind, with an adapter if asked.
+
+    Given a seed, each block is filled by its init rule from one
+    ``default_rng(seed)``, in file order; without one, ``values`` stays
+    zero and nothing is drawn.
+    """
+    blocks = _layout(kind, dims, adapter)
+    arrays = [np.zeros(shape) for _, shape, _, _ in blocks]
     spec = _KINDS[kind]
-    return TrainedModel(kind=kind, dims=dims,
-                        adapter=init_adapter(dims) if adapter else None,
-                        **{spec.slot: spec.init(dims, seed)})
+    model = TrainedModel(kind=kind, dims=dims,
+                         adapter=AffineLayer(*arrays[-2:]) if adapter else None,
+                         **{spec.slot: spec.make(dims, arrays)})
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        for _, shape, _, rule, start, stop in _spans(blocks):
+            _INIT_RULES[rule](model.values[start:stop].reshape(shape), rng)
+    return model
 
 
 def _restore(kind, dims, adapter, values, history):
     """The model ``TrainedModel.__reduce__`` describes, owning its buffers."""
-    model = _build(kind, dims, adapter, 0)
+    model = _build(kind, dims, adapter)
     model.values[...] = values
     model.history = list(history)
     return model
@@ -349,6 +379,11 @@ def _restore(kind, dims, adapter, values, history):
 
 def init_model(config):
     return _build(config.model_kind, config.dims, config.use_adapter, config.seed)
+
+
+def init_params(dims, seed):
+    """A seeded generator: the parameters of a new metaage model."""
+    return _build("metaage", dims, False, seed).meta
 
 
 # ----------------------------------------------------------- forward/backward
@@ -525,23 +560,27 @@ class CheckpointError(Exception):
 
 
 def _layout(kind, dims, adapter):
-    """A model's blocks as (attribute path, shape, trained), file order."""
+    """A model's blocks as (attribute path, shape, trained, init rule), file order.
+
+    The adapter starts as the identity map, so untouched age features pass
+    through.
+    """
     spec = _KINDS[kind]
-    blocks = tuple((f"{spec.slot}.{name}", shape, trained)
-                   for name, shape, trained in spec.layout(dims))
+    blocks = tuple((f"{spec.slot}.{name}", *rest)
+                   for name, *rest in spec.layout(dims))
     if adapter:
         d = dims.age_dim
-        blocks += (("adapter.weight", (d, d), True),
-                   ("adapter.bias", (d,), True))
+        blocks += (("adapter.weight", (d, d), True, "identity"),
+                   ("adapter.bias", (d,), True, "zeros"))
     return blocks
 
 
 def _spans(blocks):
     """Each block with its [start, stop) in a flat buffer, as a list."""
     spans, start = [], 0
-    for path, shape, trained in blocks:
-        spans.append((path, shape, trained, start, start + math.prod(shape)))
-        start += math.prod(shape)
+    for block in blocks:
+        spans.append((*block, start, start + math.prod(block[1])))
+        start += math.prod(block[1])
     return spans
 
 
@@ -616,13 +655,13 @@ def _load(path, version):
                 f"holds {size - offset}")
         if size > offset + payload:
             raise CheckpointError(f"trailing data at byte offset {offset + payload}")
-        model = _build(kind, dims, adapter, 0)
+        model = _build(kind, dims, adapter)
         got = fh.readinto(model.values)
         if got != payload:
             raise CheckpointError(
                 f"truncated checkpoint at byte offset {offset + got}: "
                 f"needed {payload} bytes for the blocks, got {got}")
-    for name, _, _, start, stop in spans:
+    for name, _, _, _, start, stop in spans:
         block = model.values[start:stop]
         if not np.isfinite(block).all():
             raise CheckpointError(f"non-finite values in {name} block at "

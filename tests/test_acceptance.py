@@ -30,7 +30,7 @@ from persage.data import (
 )
 from persage.losses import batch_loss, ord_loss
 from persage.mathcore import AffineLayer, grad_check
-from persage.metalearner import Dims, init_params
+from persage.metalearner import Dims
 from persage.metrics import (
     cs,
     cs_curve,
@@ -46,6 +46,7 @@ from persage.training import (
     TrainedModel,
     evaluate,
     init_model,
+    init_params,
     lambda_delta_sweep,
     load_model,
     load_params,

@@ -21,13 +21,13 @@ from persage.metalearner import (
     generate_weights,
     generate_weights_backward,
     generate_weights_batch,
-    init_params,
     personal_scores,
     personal_scores_backward,
 )
 from persage.training import (
     CheckpointError,
     TrainedModel,
+    init_params,
     load_params,
     save_params,
 )

@@ -8,7 +8,7 @@ import pytest
 
 from persage import metrics
 from persage.data import SynthConfig, synth_generate
-from persage.metalearner import Dims, init_params
+from persage.metalearner import Dims
 from persage.metrics import (
     cs,
     cs_curve,
@@ -20,6 +20,7 @@ from persage.metrics import (
     weight_embedding,
     weight_embeddings,
 )
+from persage.training import init_params
 
 
 # ----------------------------------------------------- literal transcriptions

@@ -13,8 +13,14 @@ import pytest
 from persage import training
 from persage.data import Dataset, SynthConfig, split, synth_generate
 from persage.losses import batch_loss
-from persage.mathcore import AffineLayer, affine_forward, grad_check, init_affine
-from persage.metalearner import Dims, init_params
+from persage.mathcore import (
+    GRAD_CHECK_STEP,
+    AffineLayer,
+    affine_forward,
+    grad_check,
+    init_affine,
+)
+from persage.metalearner import Dims, MetaLearnerParams
 from persage.training import (
     MODEL_KINDS,
     CheckpointError,
@@ -25,6 +31,7 @@ from persage.training import (
     history_csv,
     init_adam,
     init_model,
+    init_params,
     lambda_delta_sweep,
     load_model,
     load_params,
@@ -32,6 +39,7 @@ from persage.training import (
     model_forward,
     model_predict,
     save_model,
+    save_params,
     sweep_csv,
     train,
 )
@@ -84,6 +92,14 @@ def test_trained_model_slot_validation():
     wrong = init_affine(dims.n_classes + 1, dims.age_dim, np.random.default_rng(0))
     with pytest.raises(ValueError, match="shape"):
         TrainedModel(kind="global", dims=dims, table=wrong)
+    # a generator is checked by the model's binder alone
+    good = init_params(dims, 0)
+    bad = MetaLearnerParams(
+        w_common=good.w_common, hidden=good.hidden, bn=good.bn,
+        output=init_affine(dims.age_dim, dims.hidden_dim + 1,
+                           np.random.default_rng(0)), dims=dims)
+    with pytest.raises(ValueError, match="shape"):
+        TrainedModel(kind="metaage", dims=dims, meta=bad)
 
 
 # ------------------------------------------------------------ parameter store
@@ -117,7 +133,7 @@ def _grad_arrays(obj, path):
 def test_every_block_is_a_view_of_the_store(kind, adapter):
     model = init_model(quick_config(model_kind=kind, use_adapter=adapter))
     start = 0
-    for path, shape, trained in model.layout():
+    for path, shape, trained, _ in model.layout():
         owner, _, leaf = path.rpartition(".")
         array = attrgetter(path)(model)
         assert array.shape == shape and array.flags.c_contiguous
@@ -135,8 +151,74 @@ def test_every_block_is_a_view_of_the_store(kind, adapter):
     assert start == model.values.size == model.grads.size
     assert model.values.dtype == np.float64 and not np.shares_memory(
         model.values, model.grads)
-    assert {path for path, _, trained in model.layout() if not trained} == (
+    assert {path for path, _, trained, _ in model.layout() if not trained} == (
         FROZEN[kind])
+
+
+def _reference_values(kind, dims, adapter, seed):
+    """The reference for a new model's ``values``: ``init_affine`` from one
+    generator for each weight, in the order below, zero biases, batch norm
+    at gamma 1, beta 0 and running (0, 1), then the identity adapter.
+    """
+    rng = np.random.default_rng(seed)
+    k, d, h = dims.n_classes, dims.age_dim, dims.hidden_dim
+    bn = [np.ones(h), np.zeros(h), np.zeros(h), np.ones(h)]
+
+    def mlp(in_dim, out_dim):
+        hidden = init_affine(h, in_dim, rng)
+        output = init_affine(out_dim, h, rng)
+        return [hidden.weight, hidden.bias, *bn, output.weight, output.bias]
+
+    if kind == "metaage":
+        common = init_affine(k, d, rng).weight
+        blocks = [common] + mlp(dims.residual_in, d)
+    elif kind == "global":
+        blocks = [init_affine(k, d, rng).weight]
+    else:
+        blocks = mlp(d + dims.id_dim, k)
+    if adapter:
+        blocks += [np.eye(d), np.zeros(d)]
+    return np.concatenate([block.ravel() for block in blocks])
+
+
+@pytest.mark.parametrize("dims", [
+    Dims(n_classes=9, age_dim=6, id_dim=4, hidden_dim=5),
+    Dims(n_classes=101, age_dim=64, id_dim=32, hidden_dim=64)],
+    ids=["K9", "acceptance"])
+@pytest.mark.parametrize("kind, adapter", ALL_LAYOUTS)
+def test_init_model_draws_as_reference(kind, adapter, dims):
+    # a reordered layout or a changed init rule would silently change every
+    # seeded model, and with it every checkpoint and trained result
+    for seed in (0, 3, 9):
+        model = init_model(TrainConfig(dims=dims, model_kind=kind,
+                                       use_adapter=adapter, seed=seed))
+        want = _reference_values(kind, dims, adapter, seed)
+        assert model.values.tobytes() == want.tobytes(), seed
+
+
+@pytest.mark.parametrize("kind, adapter", ALL_LAYOUTS)
+def test_loading_and_copying_draw_nothing(tmp_path, monkeypatch, kind, adapter):
+    model = train(small_dataset(), quick_config(model_kind=kind, epochs=1,
+                                                use_adapter=adapter))
+
+    def no_draw(block, rng):
+        raise AssertionError("a Glorot draw")
+
+    monkeypatch.setitem(training._INIT_RULES, "glorot", no_draw)
+    with pytest.raises(AssertionError, match="Glorot"):
+        init_model(quick_config(model_kind=kind, use_adapter=adapter))
+    path = tmp_path / "model.mapc"
+    save_model(path, model)
+    for twin in (load_model(path), pickle.loads(pickle.dumps(model)),
+                 copy.deepcopy(model), copy.copy(model)):
+        assert twin.values.tobytes() == model.values.tobytes()
+    if kind == "metaage":
+        save_params(path, model.meta)
+        meta = load_params(path)
+        for name, *_ in model.layout():
+            if name.startswith("meta."):
+                got = attrgetter(name.removeprefix("meta."))(meta)
+                assert got.tobytes() == attrgetter(name)(model).tobytes(), name
 
 
 @pytest.mark.parametrize("duplicate", [
@@ -150,7 +232,7 @@ def test_deep_copy_owns_its_own_store(duplicate):
     history = list(model.history)
     assert np.array_equal(twin.values, before) and twin.history == history
     assert not np.shares_memory(twin.values, model.values)
-    for path, _, _ in twin.layout():
+    for path, _, _, _ in twin.layout():
         owner, _, leaf = path.rpartition(".")
         assert np.shares_memory(attrgetter(path)(twin), twin.values), path
         grad = getattr(attrgetter(owner)(twin), "grad_" + leaf, None)
@@ -172,7 +254,7 @@ def test_zero_grad_clears_every_gradient(kind, adapter):
     assert model.grads.any()
     # no backward writes the gradient of a frozen block, so a whole-buffer
     # Adam step (zero gradient, zero moments) leaves it unchanged bit for bit
-    for path, _, trained, start, stop in training._spans(model.layout()):
+    for path, _, trained, _, start, stop in training._spans(model.layout()):
         if not trained:
             assert not model.grads[start:stop].any(), path
     model.zero_grad()
@@ -573,6 +655,101 @@ def test_concat_full_gradient_with_adapter():
     for seed, loss_fn, names, grads in _screened_seeds(_concat_case, 5):
         report = grad_check(loss_fn, names, grads)
         assert report.passed, f"seed {seed}: {report}"
+
+
+TINY = Dims(n_classes=5, age_dim=4, id_dim=3, hidden_dim=6)
+ALL_CONFIGS = [(kind, adapter, target) for kind, adapter in ALL_LAYOUTS
+               for target in ("hard_onehot", "label_distribution")]
+
+
+def _zero_gradient(kind, path, trained):
+    """Whether a block's true gradient is zero: every frozen block, and
+    concat's adapter bias, which feeds straight into batch norm (it shifts
+    every hidden pre-activation by a constant that the mean removes).
+    """
+    return not trained or (kind == "concat" and path == "adapter.bias")
+
+
+def _whole_buffer_case(kind, adapter, target, seed, delta=2.0):
+    """(seed, loss_fn, model) with fresh gradients in ``model.grads``.
+
+    None when the point is badly conditioned: a hinge kink within 1e-3, an
+    exact zero in the gradient of a block whose true gradient is not zero,
+    or, for concat, a batch-norm input of small variance or a ReLU kink
+    within 1e-3.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = TrainConfig(dims=TINY, model_kind=kind, use_adapter=adapter,
+                      target_mode=target, lam=0.2, delta=delta, seed=seed)
+    model = init_model(cfg)
+    # move every trained block off its init value, the adapter off the
+    # identity and batch norm off gamma 1, beta 0, so no gradient is special
+    spans = training._spans(model.layout())
+    for _, _, trained, _, start, stop in spans:
+        if trained:
+            model.values[start:stop] += rng.normal(scale=0.05, size=stop - start)
+    ids = rng.normal(size=(4, TINY.id_dim))
+    age = rng.normal(scale=2.0, size=(4, TINY.age_dim))
+    labels = rng.integers(0, TINY.n_classes, size=4).astype(np.float64)
+    sigmas = rng.uniform(1.0, 3.0, size=4)
+    loss_cfg = cfg.loss_config()
+
+    def loss_fn():
+        scores, _ = model_forward(model, age, ids, mode="train")
+        return batch_loss(scores, labels, sigmas, loss_cfg)[0]
+
+    model.zero_grad()
+    scores, cache = model_forward(model, age, ids, mode="train")
+    model_backward(model, batch_loss(scores, labels, sigmas, loss_cfg)[1], cache)
+    gaps = scores[:, 1:] - scores[:, :-1]
+    if np.minimum(np.abs(delta - gaps), np.abs(delta + gaps)).min() < 1e-3:
+        return None
+    if kind == "concat":
+        x, normed, _, _ = cache[2]
+        if (affine_forward(x, model.mlp.hidden).var(axis=0).min() < 0.25
+                or np.abs(normed).min() < 1e-3):
+            return None
+    if min(np.abs(model.grads[start:stop]).min()
+           for path, _, trained, _, start, stop in spans
+           if not _zero_gradient(kind, path, trained)) < 1e-7:
+        return None
+    return seed, loss_fn, model
+
+
+def _central_differences(loss_fn, block):
+    numeric = np.empty_like(block)
+    for i, orig in enumerate(block.copy()):
+        block[i] = orig + GRAD_CHECK_STEP
+        plus = loss_fn()
+        block[i] = orig - GRAD_CHECK_STEP
+        minus = loss_fn()
+        block[i] = orig
+        numeric[i] = (plus - minus) / (2.0 * GRAD_CHECK_STEP)
+    return numeric
+
+
+@pytest.mark.parametrize("kind, adapter, target", ALL_CONFIGS)
+def test_whole_buffer_gradient(kind, adapter, target):
+    # every span of model.values: trained spans against finite differences,
+    # and spans whose true gradient is zero held to zero on both sides
+    def build(seed):
+        return _whole_buffer_case(kind, adapter, target, seed)
+
+    for seed, loss_fn, model in _screened_seeds(build, 3):
+        live, zero = {}, {}
+        for path, _, trained, _, start, stop in training._spans(model.layout()):
+            blocks = zero if _zero_gradient(kind, path, trained) else live
+            blocks[path] = (model.values[start:stop], model.grads[start:stop])
+        report = grad_check(loss_fn, {p: v for p, (v, _) in live.items()},
+                            {p: g for p, (_, g) in live.items()})
+        assert report.passed, f"seed {seed}: {report}"
+        for path, (block, grad) in zero.items():
+            if path == "adapter.bias":  # concat's, zero up to rounding
+                assert np.abs(grad).max() < 1e-12, (seed, path)
+            else:  # no backward writes a frozen block's gradient
+                assert not grad.any(), (seed, path)
+            numeric = _central_differences(loss_fn, block)
+            assert np.abs(numeric).max() <= 1e-8, (seed, path)
 
 
 # ----------------------------------------------------------------------- sweep
