@@ -33,7 +33,6 @@ from .mathcore import (
     BatchNormLayer,
     GradCheckReport,
     grad_check,
-    init_affine,
     softmax,
 )
 from .metalearner import (
@@ -84,7 +83,7 @@ __all__ = [
     "SynthOracle", "TrainConfig", "TrainedModel", "adam_step", "batch_loss",
     "batches", "class_scores_batch", "compute_oracle", "cs", "cs_curve",
     "eps_error", "eval_result", "evaluate", "expected_ages",
-    "generate_weights", "generate_weights_batch", "grad_check", "init_affine",
+    "generate_weights", "generate_weights_batch", "grad_check",
     "init_model", "init_params", "lambda_delta_sweep", "load_model",
     "load_params", "mae", "model_predict", "ord_loss", "personal_scores",
     "personal_scores_backward", "read_features", "retrieve", "save_model",

@@ -32,6 +32,7 @@ from .data import (
     synth_generate,
     write_features,
 )
+from .losses import LossConfig
 from .metalearner import Dims
 from .metrics import retrieve, slice_agreement, weight_embeddings
 from .training import (
@@ -213,19 +214,23 @@ def cmd_eval(args):
         f"eps-error {eps}, n {result.n_samples}")
 
 
-def _parse_grid(text, what):
+def _parse_grid(text, what, field):
+    """Comma-separated values of one ``LossConfig`` field, each checked by
+    that field's rule before anything trains."""
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
+        for value in values:
+            LossConfig(**{field: value})
     except ValueError as exc:
-        raise UsageError(f"{what} must be comma-separated reals, got {text!r}") from exc
+        raise UsageError(f"bad {what} grid {text!r}: {exc}") from exc
     if not values:
         raise UsageError(f"{what} grid is empty")
     return values
 
 
 def cmd_sweep(args):
-    lambdas = _parse_grid(args.lambdas, "--lambdas")
-    deltas = _parse_grid(args.deltas, "--deltas")
+    lambdas = _parse_grid(args.lambdas, "--lambdas", "lam")
+    deltas = _parse_grid(args.deltas, "--deltas", "delta")
     dataset = read_features(args.data)
     config = _train_config(args, dataset)
     if args.test:

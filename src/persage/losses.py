@@ -36,11 +36,29 @@ def _logsumexp(scores):
     return m + np.log(np.exp(scores - m[:, None]).sum(axis=-1))
 
 
-def ord_loss(scores, y, delta):
-    """Margin penalty for non-unimodal score vectors; zero iff scores rise by
-    >= delta up to class y and fall by >= delta afterwards.
+def _hinge(scores, y_hard, delta, grad, scale):
+    """Ordinal hinge of each row of (B, K) scores at its class ``y_hard``.
 
-    Returns (loss, grad_scores). The subgradient at a hinge kink is 0.
+    A row's loss is zero iff its scores rise by >= delta up to the class and
+    fall by >= delta afterwards. Adds ``scale`` times the gradient into
+    ``grad`` (B, K) in place and returns the (B,) row losses. The
+    subgradient at a hinge kink is 0.
+    """
+    d = scores[:, 1:] - scores[:, :-1]             # neighbor gaps, (B, K-1)
+    left = np.arange(d.shape[1])[None, :] < y_hard[:, None]  # gaps below the class
+    margins = np.where(left, delta - d, delta + d)
+    active = margins > 0.0
+    # d(loss)/d(gap): -1 on active left hinges, +1 on active right hinges
+    grad_d = np.where(active, np.where(left, -1.0, 1.0), 0.0) * scale
+    grad[:, 1:] += grad_d
+    grad[:, :-1] -= grad_d
+    return np.where(active, margins, 0.0).sum(axis=1)
+
+
+def ord_loss(scores, y, delta):
+    """``batch_loss``'s ordinal term on one score vector at class y.
+
+    Returns (loss, grad_scores).
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
@@ -49,31 +67,26 @@ def ord_loss(scores, y, delta):
     y = int(y)
     if not 0 <= y < k:
         raise ValueError(f"class index {y} out of range for K={k}")
-    if k == 1:
-        return 0.0, np.zeros(1)
-    d = scores[1:] - scores[:-1]                   # neighbor gaps, length K-1
-    left = np.arange(k - 1) < y                    # gaps below the label
-    margins = np.where(left, delta - d, delta + d)
-    active = margins > 0.0
-    loss = float(margins[active].sum())
-    # d(loss)/d(gap): -1 on active left hinges, +1 on active right hinges
-    grad_d = np.where(active, np.where(left, -1.0, 1.0), 0.0)
     grad = np.zeros(k)
-    grad[1:] += grad_d
-    grad[:-1] -= grad_d
-    return loss, grad
+    loss = _hinge(scores[None], np.array([y]), delta, grad[None], 1.0)
+    return float(loss[0]), grad
 
 
 def encode_label_distribution(y_mean, sigma, k):
-    """Discretized Gaussian over classes 0..K-1, normalized to sum 1."""
-    sigma = float(sigma)
-    if not (np.isfinite(sigma) and sigma > 0.0):
+    """Discretized Gaussian over classes 0..K-1, normalized to sum 1.
+
+    Scalar ``y_mean`` and ``sigma`` give a (K,) target; (B,) arrays give
+    one row per sample, (B, K).
+    """
+    y_mean = np.asarray(y_mean, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     idx = np.arange(k, dtype=np.float64)
-    expo = -((idx - float(y_mean)) ** 2) / (2.0 * sigma * sigma)
-    expo -= expo.max()  # keep at least one term at exp(0)=1
+    expo = -((idx - y_mean[..., None]) ** 2) / (2.0 * sigma * sigma)[..., None]
+    expo -= expo.max(axis=-1, keepdims=True)  # keep at least one term at exp(0)=1
     t = np.exp(expo)
-    return t / t.sum()
+    return t / t.sum(axis=-1, keepdims=True)
 
 
 def hard_labels(labels, k):
@@ -93,8 +106,8 @@ def batch_loss(scores, labels, sigmas, config):
 
     scores: (B, K); labels: (B,) possibly fractional; sigmas: (B,) or None,
     required (finite, > 0) when target_mode is label_distribution. The loss is
-    the mean over rows of cross-entropy plus lam times ``ord_loss`` at the
-    row's ``hard_labels`` class; the gradient rows are scaled by 1/B.
+    the mean over rows of cross-entropy plus lam times the ordinal hinge at
+    the row's ``hard_labels`` class; the gradient rows are scaled by 1/B.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -103,13 +116,9 @@ def batch_loss(scores, labels, sigmas, config):
     b, k = scores.shape
     y_hard = hard_labels(labels, k)
     if config.target_mode == "label_distribution":
-        if sigmas is None:
-            raise ValueError("label_distribution targets need per-sample sigmas")
-        sigmas = np.asarray(sigmas, dtype=np.float64)
-        if sigmas.shape != (b,) or not np.all(np.isfinite(sigmas) & (sigmas > 0.0)):
-            raise ValueError("label_distribution targets need finite sigma > 0 per sample")
-        targets = np.stack([encode_label_distribution(labels[i], sigmas[i], k)
-                            for i in range(b)])
+        if sigmas is None or np.shape(sigmas) != (b,):
+            raise ValueError("label_distribution targets need one sigma per sample")
+        targets = encode_label_distribution(labels, sigmas, k)
     else:
         # fractional labels fall back to the nearest class
         targets = np.zeros((b, k))
@@ -122,12 +131,5 @@ def batch_loss(scores, labels, sigmas, config):
     if config.lam == 0.0:
         return closs, grad
 
-    d = scores[:, 1:] - scores[:, :-1]
-    left = np.arange(k - 1)[None, :] < y_hard[:, None]
-    margins = np.where(left, config.delta - d, config.delta + d)
-    active = margins > 0.0
-    oloss = float(np.where(active, margins, 0.0).sum(axis=1).mean())
-    grad_d = np.where(active, np.where(left, -1.0, 1.0), 0.0) * (config.lam / b)
-    grad[:, 1:] += grad_d
-    grad[:, :-1] -= grad_d
+    oloss = float(_hinge(scores, y_hard, config.delta, grad, config.lam / b).mean())
     return closs + config.lam * oloss, grad

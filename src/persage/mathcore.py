@@ -56,15 +56,6 @@ class AffineLayer:
         return self.weight.shape[1]
 
 
-def init_affine(out_dim, in_dim, rng):
-    """Glorot-uniform weight in (-sqrt(6/(in+out)), +sqrt(6/(in+out))), zero bias."""
-    if out_dim < 1 or in_dim < 1:
-        raise ValueError(f"affine dims must be >= 1, got out={out_dim}, in={in_dim}")
-    bound = np.sqrt(6.0 / (in_dim + out_dim))
-    weight = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    return AffineLayer(weight=weight, bias=np.zeros(out_dim))
-
-
 def affine_forward(x, layer):
     """x: (batch, in) -> (batch, out)."""
     x = _as_batch(x, layer.in_dim)
@@ -106,14 +97,6 @@ class BatchNormLayer:
     @property
     def width(self):
         return self.gamma.shape[0]
-
-def init_batchnorm(width):
-    return BatchNormLayer(
-        gamma=np.ones(width),
-        beta=np.zeros(width),
-        running_mean=np.zeros(width),
-        running_var=np.ones(width),
-    )
 
 
 @dataclass

@@ -514,19 +514,17 @@ def lambda_delta_sweep(dataset, config, lambda_grid, delta_grid, holdout):
     """Test MAE over a (lambda, delta) grid, one full run per point.
 
     Every point trains on ``dataset`` from the same seed and is scored on
-    ``holdout``. Returns (lambda, delta, mae) rows in grid order.
+    ``holdout``. Returns (lambda, delta, mae) rows in grid order. Every grid
+    value and the holdout's widths are checked before the first point trains.
     """
-    lambda_grid = [float(v) for v in lambda_grid]
-    delta_grid = [float(v) for v in delta_grid]
-    if not lambda_grid or not delta_grid:
+    deltas = [float(v) for v in delta_grid]
+    configs = [replace(config, lam=float(lam), delta=delta)
+               for lam in lambda_grid for delta in deltas]
+    if not configs:
         raise ValueError("sweep grids must be non-empty")
-    rows = []
-    for lam in lambda_grid:
-        for delta in delta_grid:
-            cfg = replace(config, lam=lam, delta=delta)
-            result = evaluate(train(dataset, cfg), holdout)
-            rows.append((lam, delta, result.mae))
-    return rows
+    _check_dims(holdout, config.dims)
+    return [(cfg.lam, cfg.delta, evaluate(train(dataset, cfg), holdout).mae)
+            for cfg in configs]
 
 
 def sweep_csv(rows):

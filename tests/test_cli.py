@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import persage.cli
+import persage.training
 from persage.cli import main
 from persage.data import HEADER, read_features
 from persage.metrics import retrieve, weight_embedding
@@ -215,7 +216,11 @@ def test_config_file_and_flag_override(workspace, tmp_path):
     assert doc["config"]["epochs"] == 1  # explicit flag wins
 
 
-def test_exit_codes(workspace, tmp_path, capsys):
+def _no_training(*args, **kwargs):
+    raise AssertionError("a sweep point trained before its grid was checked")
+
+
+def test_exit_codes(workspace, tmp_path, capsys, monkeypatch):
     assert run("synth", "--offset-max", "-1", "--out", str(tmp_path / "x")) == 2
     assert run("train", "--data", "missing.mafv1", "--out", str(tmp_path / "x")) == 1
     assert run("train", "--data", str(workspace / "data" / "train.mafv1"),
@@ -258,8 +263,17 @@ def test_exit_codes(workspace, tmp_path, capsys):
     assert run("sweep", "--data", str(tmp_path / "two_ids" / "train.mafv1"),
                "--lambdas", "0", "--deltas", "2", *FAST_TRAIN,
                "--out", str(tmp_path / "one_id_sweep")) == 2
+    # every sweep grid value passes the loss config's rule before any
+    # point trains, so a bad one is a usage error
+    with monkeypatch.context() as patch:
+        patch.setattr(persage.training, "train", _no_training)
+        for lambdas, deltas in (("nan", "2"), ("0", "-1"), ("0.1,inf", "2")):
+            assert run("sweep", "--data", str(workspace / "data" / "train.mafv1"),
+                       "--lambdas", lambdas, "--deltas", deltas, *FAST_TRAIN,
+                       "--out", str(tmp_path / "bad_grid")) == 2
     for out in ("neg_train", "neg_synth", "one_id", "bad_fraction", "beta_train",
-                "diverged", "no_hidden", "no_hidden_sweep", "one_id_sweep"):
+                "diverged", "no_hidden", "no_hidden_sweep", "one_id_sweep",
+                "bad_grid"):
         assert not (tmp_path / out).exists(), out
     assert run("eval", "--model", str(workspace / "data" / "train.mafv1"),
                "--data", str(workspace / "data" / "test.mafv1"),

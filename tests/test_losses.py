@@ -45,12 +45,44 @@ def cls_loss(scores, target):
     return loss, probs - t
 
 
+def ord_loss_ref(scores, y, delta):
+    """The ordinal hinge of one score vector at class y, gap by gap.
+
+    Returns (loss, grad_scores): the reference ``ord_loss`` and the ordinal
+    term of ``batch_loss`` are tested against.
+    """
+    k = scores.shape[0]
+    if k == 1:
+        return 0.0, np.zeros(1)
+    d = scores[1:] - scores[:-1]                   # neighbor gaps, length K-1
+    left = np.arange(k - 1) < y                    # gaps below the label
+    margins = np.where(left, delta - d, delta + d)
+    active = margins > 0.0
+    loss = float(margins[active].sum())
+    # d(loss)/d(gap): -1 on active left hinges, +1 on active right hinges
+    grad_d = np.where(active, np.where(left, -1.0, 1.0), 0.0)
+    grad = np.zeros(k)
+    grad[1:] += grad_d
+    grad[:-1] -= grad_d
+    return loss, grad
+
+
+def label_distribution_ref(y_mean, sigma, k):
+    """One sample's discretized Gaussian target over classes 0..K-1."""
+    sigma = float(sigma)
+    idx = np.arange(k, dtype=np.float64)
+    expo = -((idx - float(y_mean)) ** 2) / (2.0 * sigma * sigma)
+    expo -= expo.max()  # keep at least one term at exp(0)=1
+    t = np.exp(expo)
+    return t / t.sum()
+
+
 def total_loss(scores, target, y_hard, config):
-    """cls_loss + lam * ord_loss, gradients combined linearly."""
+    """cls_loss + lam * ord_loss_ref, gradients combined linearly."""
     closs, cgrad = cls_loss(scores, target)
     if config.lam == 0.0:
         return closs, cgrad
-    oloss, ograd = ord_loss(scores, y_hard, config.delta)
+    oloss, ograd = ord_loss_ref(scores, y_hard, config.delta)
     return closs + config.lam * oloss, cgrad + config.lam * ograd
 
 
@@ -133,6 +165,21 @@ def test_ord_loss_validation():
         ord_loss(np.zeros(3), -1, 2.0)
 
 
+def test_ord_loss_matches_reference():
+    # the hinge sums every gap, zeros included, where the reference sums
+    # only the active ones, so the loss may differ in the last bits
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 121))
+        scores = rng.normal(scale=rng.uniform(0.1, 5.0), size=k)
+        y = int(rng.integers(0, k))
+        delta = float(rng.choice([0.0, rng.uniform(0.1, 3.0)]))
+        loss, grad = ord_loss(scores, y, delta)
+        want_loss, want_grad = ord_loss_ref(scores, y, delta)
+        assert grad.tobytes() == want_grad.tobytes(), seed
+        assert abs(loss - want_loss) <= 1e-15 * abs(want_loss), seed
+
+
 def _unimodal_scores(rng, k, y, delta):
     # build scores rising by > delta up to y, falling by > delta after it
     gaps = delta + rng.uniform(0.01, 3.0, size=k - 1) if k > 1 else np.zeros(0)
@@ -212,7 +259,7 @@ def test_total_loss_linearity():
     y = 2
     config = LossConfig(lam=0.7, delta=2.0)
     closs, cgrad = cls_loss(scores, y)
-    oloss, ograd = ord_loss(scores, y, 2.0)
+    oloss, ograd = ord_loss_ref(scores, y, 2.0)
     tloss, tgrad = total_loss(scores, y, y, config)
     assert tloss == closs + 0.7 * oloss
     assert np.array_equal(tgrad, cgrad + 0.7 * ograd)
@@ -246,6 +293,24 @@ def test_encode_label_distribution_properties():
     assert abs(t.sum() - 1.0) < 1e-12
     with pytest.raises(ValueError):
         encode_label_distribution(3.0, 0.0, 10)
+
+
+def test_encode_label_distribution_rows_match_reference():
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        b, k = int(rng.integers(1, 40)), int(rng.integers(1, 121))
+        labels = rng.uniform(-2.0, k + 1.0, size=b)
+        sigmas = rng.uniform(1e-3, 10.0, size=b)
+        got = encode_label_distribution(labels, sigmas, k)
+        assert got.shape == (b, k)
+        for i in range(b):
+            want = label_distribution_ref(labels[i], sigmas[i], k)
+            assert got[i].tobytes() == want.tobytes(), (seed, i)
+        # one scalar sample gives the same bytes as its row
+        one = encode_label_distribution(labels[0], sigmas[0], k)
+        assert one.shape == (k,) and one.tobytes() == got[0].tobytes()
+    with pytest.raises(ValueError):
+        encode_label_distribution(np.array([1.0, 2.0]), np.array([1.0, 0.0]), 5)
 
 
 def test_hard_label_rounds_and_clamps():
@@ -318,7 +383,7 @@ def test_batch_loss_soft_mode_matches_per_sample_ops():
     hard = hard_labels(labels, k)
     per = []
     for i in range(b):
-        t = encode_label_distribution(labels[i], sigmas[i], k)
+        t = label_distribution_ref(labels[i], sigmas[i], k)
         per.append(total_loss(scores[i], t, hard[i], config))
     assert abs(loss - np.mean([p[0] for p in per])) < 1e-12
     assert np.allclose(grad, np.stack([p[1] for p in per]) / b, atol=1e-12)

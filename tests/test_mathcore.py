@@ -6,17 +6,30 @@ import pytest
 from persage.mathcore import (
     BN_EPSILON,
     AffineLayer,
+    BatchNormLayer,
     affine_backward,
     affine_forward,
     batchnorm_backward,
     batchnorm_forward,
     grad_check,
-    init_affine,
-    init_batchnorm,
     relu_backward,
     relu_forward,
     softmax,
 )
+
+
+
+def glorot_affine(out_dim, in_dim, rng):
+    """Glorot-uniform weight in (-sqrt(6/(in+out)), +sqrt(6/(in+out))), zero bias."""
+    bound = np.sqrt(6.0 / (in_dim + out_dim))
+    return AffineLayer(weight=rng.uniform(-bound, bound, size=(out_dim, in_dim)),
+                       bias=np.zeros(out_dim))
+
+
+def fresh_batchnorm(width):
+    """Batch norm at gamma 1, beta 0 and running statistics (0, 1)."""
+    return BatchNormLayer(gamma=np.ones(width), beta=np.zeros(width),
+                          running_mean=np.zeros(width), running_var=np.ones(width))
 
 
 # ---------------------------------------------------------------- affine
@@ -60,21 +73,11 @@ def test_affine_shape_validation():
         AffineLayer(weight=np.zeros((2, 3)), bias=np.zeros(3))
 
 
-def test_init_affine_bounds_and_determinism():
-    for seed in range(20):
-        a = init_affine(7, 5, np.random.default_rng(seed))
-        b = init_affine(7, 5, np.random.default_rng(seed))
-        bound = np.sqrt(6.0 / 12.0)
-        assert np.abs(a.weight).max() <= bound
-        assert np.array_equal(a.weight, b.weight)
-        assert np.array_equal(a.bias, np.zeros(7))
-
-
 def test_affine_gradients_match_finite_differences():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         batch, din, dout = rng.integers(1, 5), rng.integers(1, 5), rng.integers(1, 5)
-        layer = init_affine(dout, din, rng)
+        layer = glorot_affine(dout, din, rng)
         layer.bias[:] = rng.normal(size=dout)
         x = rng.normal(size=(batch, din))
         target = rng.normal(size=(batch, dout))
@@ -97,7 +100,7 @@ def test_affine_gradients_match_finite_differences():
 
 def test_batchnorm_eval_hand_case():
     # (x - mean) / sqrt(var + epsilon) scaled by gamma, shifted by beta
-    layer = init_batchnorm(1)
+    layer = fresh_batchnorm(1)
     layer.gamma[:] = 2.0
     layer.beta[:] = 1.0
     layer.running_mean[:] = 1.0
@@ -108,7 +111,7 @@ def test_batchnorm_eval_hand_case():
 
 
 def test_batchnorm_running_stats_update():
-    layer = init_batchnorm(2)
+    layer = fresh_batchnorm(2)
     x = np.array([[1.0, 10.0], [3.0, 30.0]])  # means (2, 20), biased vars (1, 100)
     batchnorm_forward(x, layer, mode="train")
     assert np.array_equal(layer.running_mean, np.array([0.2, 2.0]))
@@ -116,7 +119,7 @@ def test_batchnorm_running_stats_update():
 
 
 def test_batchnorm_eval_does_not_mutate():
-    layer = init_batchnorm(3)
+    layer = fresh_batchnorm(3)
     layer.running_mean[:] = [1.0, 2.0, 3.0]
     layer.running_var[:] = [1.0, 4.0, 9.0]
     mean_before = layer.running_mean.copy()
@@ -127,13 +130,13 @@ def test_batchnorm_eval_does_not_mutate():
 
 
 def test_batchnorm_train_needs_batch_of_two():
-    layer = init_batchnorm(2)
+    layer = fresh_batchnorm(2)
     with pytest.raises(ValueError):
         batchnorm_forward(np.ones((1, 2)), layer, mode="train")
 
 
 def test_batchnorm_mode_is_required():
-    layer = init_batchnorm(2)
+    layer = fresh_batchnorm(2)
     for mode in ("Train", None):
         with pytest.raises(ValueError, match="mode"):
             batchnorm_forward(np.ones((3, 2)), layer, mode=mode)
@@ -146,7 +149,7 @@ def test_batchnorm_normalizes_train_batches():
         rng = np.random.default_rng(seed)
         width = int(rng.integers(1, 6))
         batch = int(rng.integers(2, 40))
-        layer = init_batchnorm(width)
+        layer = fresh_batchnorm(width)
         x = rng.normal(scale=100.0, size=(batch, width)) + rng.normal(scale=50.0, size=width)
         y, _ = batchnorm_forward(x, layer, mode="train")
         assert np.abs(y.mean(axis=0)).max() < 1e-9
@@ -169,7 +172,7 @@ def test_batchnorm_gradients_match_finite_differences():
         rng = np.random.default_rng(seed)
         width = int(rng.integers(1, 5))
         batch = int(rng.integers(2, 6))
-        layer = init_batchnorm(width)
+        layer = fresh_batchnorm(width)
         layer.gamma[:] = rng.uniform(0.5, 2.0, size=width)
         layer.beta[:] = rng.normal(size=width)
         x = _sample_with_spread(rng, batch, width)
@@ -190,7 +193,7 @@ def test_batchnorm_gradients_match_finite_differences():
 
 
 def test_batchnorm_backward_requires_cache():
-    layer = init_batchnorm(2)
+    layer = fresh_batchnorm(2)
     with pytest.raises(ValueError):
         batchnorm_backward(np.ones((2, 2)), None, layer)
 
@@ -249,7 +252,7 @@ def test_grad_check_exact_on_quadratic():
 
 def test_grad_check_flags_corrupted_gradient():
     rng = np.random.default_rng(7)
-    layer = init_affine(3, 4, rng)
+    layer = glorot_affine(3, 4, rng)
     x = rng.normal(size=(2, 4))
     target = rng.normal(size=(2, 3))
 
@@ -280,10 +283,10 @@ def test_composite_chain_gradients():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         batch, din, hidden, dout = 3, 4, 5, 3
-        first = init_affine(hidden, din, rng)
-        bn = init_batchnorm(hidden)
+        first = glorot_affine(hidden, din, rng)
+        bn = fresh_batchnorm(hidden)
         bn.gamma[:] = rng.uniform(0.5, 1.5, size=hidden)
-        second = init_affine(dout, hidden, rng)
+        second = glorot_affine(dout, hidden, rng)
         for _ in range(100):
             x = rng.normal(scale=3.0, size=(batch, din))
             if affine_forward(x, first).var(axis=0).min() >= 0.25:

@@ -18,7 +18,6 @@ from persage.mathcore import (
     AffineLayer,
     affine_forward,
     grad_check,
-    init_affine,
 )
 from persage.metalearner import Dims, MetaLearnerParams
 from persage.training import (
@@ -89,15 +88,16 @@ def test_trained_model_slot_validation():
         TrainedModel(kind="global", dims=dims, meta=init_params(dims, 0))
     with pytest.raises(ValueError):
         TrainedModel(kind="sideways", dims=dims)
-    wrong = init_affine(dims.n_classes + 1, dims.age_dim, np.random.default_rng(0))
+    wrong = AffineLayer(weight=np.zeros((dims.n_classes + 1, dims.age_dim)),
+                        bias=np.zeros(dims.n_classes + 1))
     with pytest.raises(ValueError, match="shape"):
         TrainedModel(kind="global", dims=dims, table=wrong)
     # a generator is checked by the model's binder alone
     good = init_params(dims, 0)
     bad = MetaLearnerParams(
         w_common=good.w_common, hidden=good.hidden, bn=good.bn,
-        output=init_affine(dims.age_dim, dims.hidden_dim + 1,
-                           np.random.default_rng(0)), dims=dims)
+        output=AffineLayer(weight=np.zeros((dims.age_dim, dims.hidden_dim + 1)),
+                           bias=np.zeros(dims.age_dim)), dims=dims)
     with pytest.raises(ValueError, match="shape"):
         TrainedModel(kind="metaage", dims=dims, meta=bad)
 
@@ -156,24 +156,27 @@ def test_every_block_is_a_view_of_the_store(kind, adapter):
 
 
 def _reference_values(kind, dims, adapter, seed):
-    """The reference for a new model's ``values``: ``init_affine`` from one
-    generator for each weight, in the order below, zero biases, batch norm
-    at gamma 1, beta 0 and running (0, 1), then the identity adapter.
+    """The reference for a new model's ``values``: a Glorot-uniform draw
+    ``rng.uniform(-b, b)`` with b = sqrt(6 / (in + out)) from one generator
+    for each weight, in the order below, zero biases, batch norm at gamma 1,
+    beta 0 and running (0, 1), then the identity adapter.
     """
     rng = np.random.default_rng(seed)
     k, d, h = dims.n_classes, dims.age_dim, dims.hidden_dim
     bn = [np.ones(h), np.zeros(h), np.zeros(h), np.ones(h)]
 
+    def glorot(out_dim, in_dim):
+        bound = np.sqrt(6.0 / (in_dim + out_dim))
+        return rng.uniform(-bound, bound, size=(out_dim, in_dim))
+
     def mlp(in_dim, out_dim):
-        hidden = init_affine(h, in_dim, rng)
-        output = init_affine(out_dim, h, rng)
-        return [hidden.weight, hidden.bias, *bn, output.weight, output.bias]
+        return [glorot(h, in_dim), np.zeros(h), *bn, glorot(out_dim, h),
+                np.zeros(out_dim)]
 
     if kind == "metaage":
-        common = init_affine(k, d, rng).weight
-        blocks = [common] + mlp(dims.residual_in, d)
+        blocks = [glorot(k, d)] + mlp(dims.residual_in, d)
     elif kind == "global":
-        blocks = [init_affine(k, d, rng).weight]
+        blocks = [glorot(k, d)]
     else:
         blocks = mlp(d + dims.id_dim, k)
     if adapter:
@@ -786,6 +789,21 @@ def test_sweep_rejects_empty_grid():
         lambda_delta_sweep(ds, quick_config(), [], [2.0], ds)
     with pytest.raises(ValueError):
         lambda_delta_sweep(ds, quick_config(), [0.2], [], ds)
+
+
+def test_sweep_checks_grid_and_holdout_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a sweep point trained before the checks")
+
+    monkeypatch.setattr(training, "train", no_training)
+    ds = small_dataset()
+    for lambdas, deltas in (([0.1, np.inf], [2.0]), ([0.1], [2.0, -1.0]),
+                            ([np.nan], [2.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            lambda_delta_sweep(ds, quick_config(), lambdas, deltas, ds)
+    narrow = small_dataset(d=7)
+    with pytest.raises(ValueError, match="age feature width 7"):
+        lambda_delta_sweep(ds, quick_config(), [0.1], [2.0], narrow)
 
 
 def test_history_csv_format():
