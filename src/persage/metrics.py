@@ -128,7 +128,12 @@ def weight_embeddings(params, id_feats):
 
 
 def retrieve(query_embedding, gallery_embeddings, query_index=None):
-    """Gallery ranked by Euclidean distance to the query, ties by index."""
+    """Gallery ranked by Euclidean distance to the query, ties by index.
+
+    Distances do not depend on the gallery's memory layout: a C-ordered,
+    Fortran-ordered or strided gallery of the same values gives bitwise
+    equal distances and the same ranking.
+    """
     query = np.asarray(query_embedding, dtype=np.float64).reshape(-1)
     gallery = np.asarray(gallery_embeddings, dtype=np.float64)
     if gallery.ndim != 2 or gallery.shape[0] == 0:
@@ -136,13 +141,20 @@ def retrieve(query_embedding, gallery_embeddings, query_index=None):
     if gallery.shape[1] != query.shape[0]:
         raise ValueError(f"embedding dim mismatch: query {query.shape[0]}, "
                          f"gallery {gallery.shape[1]}")
-    # about 1 MiB of differences at a time; each row's norm is computed alone,
-    # so the blocking leaves every distance bitwise unchanged
-    rows = max(1, 2**17 // query.shape[0])
-    distances = np.empty(gallery.shape[0])
-    for start in range(0, gallery.shape[0], rows):
+    # squared differences of about 1 MiB of rows at a time, in one reused
+    # C-ordered buffer: np.linalg.norm's sqrt(add.reduce(x * x)) for real x,
+    # without its temporaries, each row summed alone in the same order
+    n = gallery.shape[0]
+    rows = min(max(1, 2**17 // query.shape[0]), n)
+    buf = np.empty((rows, query.shape[0]))
+    distances = np.empty(n)
+    for start in range(0, n, rows):
         block = gallery[start:start + rows]
-        distances[start:start + rows] = np.linalg.norm(block - query, axis=1)
+        part = buf[:block.shape[0]]
+        np.subtract(block, query, out=part)
+        np.multiply(part, part, out=part)
+        np.add.reduce(part, axis=1, out=distances[start:start + rows])
+    np.sqrt(distances, out=distances)
     order = np.argsort(distances, kind="stable")
     return RetrievalResult(query_index=query_index,
                            ranked_indices=order,
@@ -160,6 +172,9 @@ def slice_agreement(result, flags, fraction=0.10):
     if result.query_index is not None:
         ranked = ranked[ranked != result.query_index]
     flags = np.asarray(flags, dtype=bool)
+    if flags.shape != result.ranked_indices.shape:
+        raise ValueError(f"length mismatch: {flags.size} flags, "
+                         f"{result.ranked_indices.shape[0]} gallery entries")
     n = ranked.shape[0]
     if n == 0:
         raise ValueError("gallery holds only the query")

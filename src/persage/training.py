@@ -410,7 +410,9 @@ def model_backward(model, grad_scores, cache):
         affine_backward(grad_g, raw, model.adapter)
 
 
-_PREDICT_CHUNK = 512  # samples per eval-mode model_forward call
+# samples per eval-mode model_forward call: at the acceptance size a chunk's
+# (chunk, K, H) hidden rows take 3.3 MB and stay in a 4 MiB L2 cache
+_PREDICT_CHUNK = 64
 
 
 def model_predict(model, age_feats, id_feats):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,37 @@ def test_retrieve_blocked_distances_are_bitwise_unblocked(n, dim):
                           np.argsort(unblocked, kind="stable"))
 
 
+def test_retrieve_distances_ignore_gallery_layout():
+    # every row's squared differences are summed from one C-ordered buffer,
+    # so Fortran order or a strided view cannot change the summation order
+    rng = np.random.default_rng(11)
+    wide = rng.normal(size=(300, 2000))
+    query = rng.normal(size=1000)
+    strided = wide[:, ::2]
+    c_ordered = np.ascontiguousarray(strided)
+    base = retrieve(query, c_ordered)
+    for gallery in (np.asfortranarray(c_ordered), strided):
+        result = retrieve(query, gallery)
+        assert np.array_equal(result.distances, base.distances)
+        assert np.array_equal(result.ranked_indices, base.ranked_indices)
+
+
+def test_retrieve_memory_stays_within_one_block_buffer():
+    # one (2**17 // dim, dim) buffer of about 1 MiB; a copy of the 400-entry
+    # gallery (19.7 MiB) or a second block-sized temporary breaks the bound
+    rng = np.random.default_rng(12)
+    gallery = rng.normal(size=(400, 6464))
+    query = gallery[7].copy()
+    tracemalloc.start()
+    try:
+        result = retrieve(query, gallery, query_index=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ranked_indices[0] == 7
+    assert peak < 1.5 * 2**20
+
+
 def test_retrieve_validation():
     with pytest.raises(ValueError):
         retrieve(np.zeros(3), np.zeros((0, 3)))
@@ -241,6 +273,15 @@ def test_slice_agreement():
     flags = np.arange(10) < 5  # nearest half flagged
     top, bottom = slice_agreement(result, flags, fraction=0.34)
     assert top == 1.0 and bottom == 0.0
+
+
+@pytest.mark.parametrize("n_flags", [9, 12])
+def test_slice_agreement_needs_one_flag_per_gallery_entry(n_flags):
+    emb = np.arange(10, dtype=np.float64)[:, None]
+    result = retrieve(np.array([0.0]), emb, query_index=0)
+    flags = np.arange(n_flags) < 5
+    with pytest.raises(ValueError, match=f"{n_flags} flags, 10 gallery entries"):
+        slice_agreement(result, flags)
 
 
 def test_synthetic_embeddings_cluster_by_offset_sign_feasibility():

@@ -527,6 +527,24 @@ def test_eval_predictions_ignore_batch_makeup_and_chunk(monkeypatch):
                   f"rows {lo}:{hi}")
 
 
+def test_eval_memory_stays_within_a_chunk():
+    # at the acceptance size a metaage chunk of _PREDICT_CHUNK samples holds
+    # (chunk, K, H) hidden rows: 3.3 MB at 64 rows, 26 MB at 512
+    dims = Dims(n_classes=101, age_dim=64, id_dim=32, hidden_dim=64)
+    model = init_model(TrainConfig(dims=dims, model_kind="metaage", seed=0))
+    rng = np.random.default_rng(5)
+    age = rng.normal(size=(2000, 64))
+    ids = rng.normal(size=(2000, 32))
+    tracemalloc.start()
+    try:
+        preds = model_predict(model, age, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert preds.shape == (2000,) and np.isfinite(preds).all()
+    assert peak < 16 * 2**20
+
+
 def test_running_variance_finite_and_nonnegative_after_training():
     ds = small_dataset()
     for kind in ("metaage", "concat"):
