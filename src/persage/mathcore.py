@@ -87,8 +87,13 @@ class BatchNormLayer:
     grad_beta: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("gamma", "beta", "running_mean", "running_var"):
+        names = ("gamma", "beta", "running_mean", "running_var")
+        for name in names:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        shapes = [getattr(self, name).shape for name in names]
+        if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 4:
+            raise ValueError("batch-norm vectors must be 1-D of one width: " + ", ".join(
+                f"{name} {shape}" for name, shape in zip(names, shapes)))
         if np.any(self.running_var < 0.0):
             raise ValueError("running_var must be >= 0 elementwise")
         self.grad_gamma = np.zeros(self.gamma.shape)
@@ -97,6 +102,23 @@ class BatchNormLayer:
     @property
     def width(self):
         return self.gamma.shape[0]
+
+
+def mlp_layout(in_dim, hidden_dim, out_dim, output_bias):
+    """Blocks of affine -> batch norm -> affine as (attribute path, shape,
+    trained, init rule), in file order.
+
+    The hidden bias never trains: batch norm cancels it. ``output_bias``
+    says whether the output bias trains.
+    """
+    h = hidden_dim
+    return (("hidden.weight", (h, in_dim), True, "glorot"),
+            ("hidden.bias", (h,), False, "zeros"),
+            ("bn.gamma", (h,), True, "ones"), ("bn.beta", (h,), True, "zeros"),
+            ("bn.running_mean", (h,), False, "zeros"),
+            ("bn.running_var", (h,), False, "ones"),
+            ("output.weight", (out_dim, h), True, "glorot"),
+            ("output.bias", (out_dim,), output_bias, "zeros"))
 
 
 @dataclass

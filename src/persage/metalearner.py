@@ -28,7 +28,9 @@ a = (P - mean P) inv and c = (T - mean T) inv. Batch norm therefore outputs
 per-person and per-class sums of the incoming gradient. Eval mode takes
 mean P = 0, mean T = running mean and the running variance, which folds the
 running statistics into the two terms. The post-ReLU hidden rows and their
-gradient are the only (B, K, H) arrays.
+gradient are the only (B, K, H) arrays, and eval mode never builds them
+whole: it runs the broadcast sum, ReLU and what consumes the rows over tiles
+of samples whose rows fit in ``_TILE_BYTES``, one core's cache share.
 
 Scores need no weight matrix either: with hid[b, i] the hidden row and g_b
 the age features, score[b, i] = g_b . w_common[i] + hid[b, i] . (g_b W_out).
@@ -40,6 +42,7 @@ only for callers that want the matrices themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .mathcore import (
     AffineLayer,
     BatchNormLayer,
     affine_forward,
+    mlp_layout,
 )
 
 
@@ -71,8 +75,18 @@ class Dims:
         return self.id_dim + self.age_dim + self.n_classes
 
 
+def layout(dims):
+    """The generator's blocks as (attribute path, shape, trained, init rule),
+    in checkpoint order: the common table, then the conditioning network.
+    """
+    return ((("w_common", (dims.n_classes, dims.age_dim), True, "glorot"),)
+            + mlp_layout(dims.residual_in, dims.hidden_dim, dims.age_dim, False))
+
+
 @dataclass
 class MetaLearnerParams:
+    """A generator's arrays; each must have its block's shape in ``layout``."""
+
     w_common: np.ndarray        # (K, D) shared weight table
     hidden: AffineLayer         # (H, F+D+K), bias frozen at zero
     bn: BatchNormLayer          # width H
@@ -82,6 +96,10 @@ class MetaLearnerParams:
 
     def __post_init__(self):
         self.w_common = np.asarray(self.w_common, dtype=np.float64)
+        for path, shape, _, _ in layout(self.dims):
+            got = np.shape(attrgetter(path)(self))
+            if got != shape:
+                raise ValueError(f"{path} needs shape {shape}, got {got}")
         if self.grad_w_common is None:
             self.grad_w_common = np.zeros_like(self.w_common)
 
@@ -97,8 +115,14 @@ def _check_ids(params, id_feats):
     return id_feats
 
 
-def _hidden_forward(params, id_feats, mode):
-    """(B, F) identity features -> (B, K, H) post-ReLU hidden rows, and a cache.
+# bytes of (rows, K, H) hidden rows per eval tile, as retrieve's 1 MiB block
+# buffer: 20 rows at the acceptance size, which stay in one core's 2 MiB L2
+# through their add, ReLU and matvec
+_TILE_BYTES = 2**20
+
+
+def _hidden_tiles(params, id_feats, mode):
+    """(B, F) identity features -> post-ReLU hidden rows by tiles, and a cache.
 
     Row [b, i] is the hidden layer's output for sample b conditioned on class
     i. Its pre-activation, hidden.weight @ [h_b | w_common[i] | e_i] + bias,
@@ -111,9 +135,16 @@ def _hidden_forward(params, id_feats, mode):
     mean T = running mean and the running variance. With
     inv = 1 / sqrt(var + epsilon), the output is
     (gamma inv (P - mean P))[b] + (gamma inv (T - mean T) + beta)[i], and
-    ReLU runs in place on that one broadcast sum. The cache keeps the
-    centred terms and inv in train mode; in eval mode it keeps None there,
-    which the backward functions refuse.
+    ReLU runs in place on that broadcast sum.
+
+    Returns an iterator of (rows, hidden), a slice of the batch and the
+    (n, K, H) hidden rows of its samples, and the cache. Every tile is
+    written into one buffer. Train mode makes the whole batch one tile, and
+    its cache keeps that buffer, the centred terms and inv for the backward
+    functions once the tile has been taken. Eval mode reuses a buffer of at
+    most ``_TILE_BYTES`` (or one sample's rows), so a tile must be consumed
+    before the next is taken; its cache holds None for the rows and the
+    terms, which the backward functions refuse.
     """
     d = params.dims
     f, dd = d.id_dim, d.age_dim
@@ -121,8 +152,9 @@ def _hidden_forward(params, id_feats, mode):
     w = params.hidden.weight
     person = id_feats @ w[:, :f].T                                      # (B, H)
     table = params.w_common @ w[:, f:f + dd].T + w[:, f + dd:].T + params.hidden.bias
+    b = id_feats.shape[0]
     if mode == "train":
-        if id_feats.shape[0] * d.n_classes < 2:
+        if b * d.n_classes < 2:
             raise ValueError("train-mode batch normalization needs batch >= 2")
         mean_person, mean_table = person.mean(axis=0), table.mean(axis=0)
         mean = mean_person + mean_table
@@ -130,20 +162,30 @@ def _hidden_forward(params, id_feats, mode):
         m = BN_MOMENTUM
         bn.running_mean[:] = (1.0 - m) * bn.running_mean + m * mean
         bn.running_var[:] = (1.0 - m) * bn.running_var + m * var
+        rows = b
     elif mode == "eval":
         mean_person, mean_table, var = 0.0, bn.running_mean, bn.running_var
+        rows = min(b, max(1, _TILE_BYTES // table.nbytes))
     else:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     inv = 1.0 / np.sqrt(var + BN_EPSILON)
     scale = bn.gamma * inv
     person = person - mean_person
+    person_term = person * scale
     # the table's mean folds into its shift, one (K, H) pass fewer
-    hidden = (person * scale)[:, None, :] + (
-        table * scale + (bn.beta - mean_table * scale))
-    np.maximum(hidden, 0.0, out=hidden)
+    class_term = table * scale + (bn.beta - mean_table * scale)
+    buf = np.empty((rows,) + table.shape)
+
+    def tiles():
+        for start in range(0, b, rows):
+            tile = buf[:min(rows, b - start)]
+            np.add(person_term[start:start + rows, None, :], class_term, out=tile)
+            np.maximum(tile, 0.0, out=tile)
+            yield slice(start, start + tile.shape[0]), tile
+
     if mode == "eval":
-        return hidden, (id_feats, hidden, None)
-    return hidden, (id_feats, hidden, (person, table - mean_table, inv))
+        return tiles(), (id_feats, None, None)
+    return tiles(), (id_feats, buf, (person, table - mean_table, inv))
 
 
 def _check_train_cache(cache):
@@ -192,16 +234,19 @@ def generate_weights_batch(params, id_feats, mode):
     """Personalized weight matrices for a batch: (B, F) -> (B, K, D).
 
     In train mode all B*K class rows form one batch-norm batch; eval mode uses
-    running statistics, so results are independent of batch makeup. Returns
-    (weights, cache); pass the cache to generate_weights_backward. Training
-    scores through personal_scores instead, which never builds the weights.
+    running statistics, so results are independent of batch makeup, and
+    fills the weights a tile of samples at a time. Returns (weights, cache);
+    pass a train-mode cache to generate_weights_backward. Training scores
+    through personal_scores instead, which never builds the weights.
     """
     d = params.dims
     id_feats = _check_ids(params, id_feats)
-    hidden, cache = _hidden_forward(params, id_feats, mode)
-    res = affine_forward(hidden.reshape(-1, d.hidden_dim), params.output)
-    weights = params.w_common[None, :, :] + res.reshape(
-        id_feats.shape[0], d.n_classes, d.age_dim)
+    tiles, cache = _hidden_tiles(params, id_feats, mode)
+    weights = np.empty((id_feats.shape[0], d.n_classes, d.age_dim))
+    for rows, hidden in tiles:
+        res = affine_forward(hidden.reshape(-1, d.hidden_dim), params.output)
+        np.add(params.w_common, res.reshape(hidden.shape[0], d.n_classes, d.age_dim),
+               out=weights[rows])
     return weights, cache
 
 
@@ -239,10 +284,11 @@ def personal_scores(params, id_feats, age_feats, mode):
     if age_feats.shape != (id_feats.shape[0], d.age_dim):
         raise ValueError(f"age features must be ({id_feats.shape[0]}, "
                          f"{d.age_dim}), got {age_feats.shape}")
-    hidden, cache = _hidden_forward(params, id_feats, mode)
+    tiles, cache = _hidden_tiles(params, id_feats, mode)
     proj = age_feats @ params.output.weight                             # (B, H)
-    scores = (age_feats @ params.w_common.T
-              + np.matmul(hidden, proj[:, :, None])[:, :, 0])
+    scores = age_feats @ params.w_common.T
+    for rows, hidden in tiles:
+        scores[rows] += np.matmul(hidden, proj[rows, :, None])[:, :, 0]
     return scores, (age_feats, proj, cache)
 
 

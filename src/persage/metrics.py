@@ -107,24 +107,19 @@ def weight_embedding(params, id_feat):
     return generate_weights(params, id_feat).reshape(-1)
 
 
-_EMBED_CHUNK = 256  # identity rows per generate_weights_batch call
-
-
 def weight_embeddings(params, id_feats):
     """weight_embedding of each row of (N, F) identity features: (N, K*D).
 
-    Rows go through eval-mode generate_weights_batch _EMBED_CHUNK at a time.
-    Eval mode makes each row independent of the rest of its chunk, so the
+    One eval-mode generate_weights_batch call writes every row's weights
+    into the result, building the generator's hidden rows a tile at a time.
+    Eval mode makes each row independent of the rest of its tile, so the
     result equals the per-sample embeddings up to rounding.
     """
     id_feats = np.asarray(id_feats, dtype=np.float64)
-    d = params.dims
-    out = np.empty((id_feats.shape[0], d.n_classes * d.age_dim))
-    for start in range(0, id_feats.shape[0], _EMBED_CHUNK):
-        weights, _ = generate_weights_batch(
-            params, id_feats[start:start + _EMBED_CHUNK], mode="eval")
-        out[start:start + _EMBED_CHUNK] = weights.reshape(weights.shape[0], -1)
-    return out
+    if id_feats.shape[0] == 0:
+        return np.empty((0, params.dims.n_classes * params.dims.age_dim))
+    weights, _ = generate_weights_batch(params, id_feats, mode="eval")
+    return weights.reshape(weights.shape[0], -1)
 
 
 def retrieve(query_embedding, gallery_embeddings, query_index=None):

@@ -35,6 +35,7 @@ from .mathcore import (
     affine_forward,
     batchnorm_backward,
     batchnorm_forward,
+    mlp_layout,
     relu_backward,
     relu_forward,
     softmax,
@@ -42,6 +43,7 @@ from .mathcore import (
 from .metalearner import (
     Dims,
     MetaLearnerParams,
+    layout as metalearner_layout,
     personal_scores,
     personal_scores_backward,
 )
@@ -173,25 +175,9 @@ def _concat_backward(mlp, grad_scores, cache):
     return _weight_backward(mlp.hidden, grad_pre, x)[:, :mlp.dims.age_dim]
 
 
-def _mlp_layout(in_dim, hidden_dim, out_dim, output_bias):
-    """Blocks of affine -> batch norm -> affine, in file order.
-
-    The hidden bias never trains: batch norm cancels it. ``output_bias``
-    says whether the output bias trains.
-    """
-    h = hidden_dim
-    return (("hidden.weight", (h, in_dim), True, "glorot"),
-            ("hidden.bias", (h,), False, "zeros"),
-            ("bn.gamma", (h,), True, "ones"), ("bn.beta", (h,), True, "zeros"),
-            ("bn.running_mean", (h,), False, "zeros"),
-            ("bn.running_var", (h,), False, "ones"),
-            ("output.weight", (out_dim, h), True, "glorot"),
-            ("output.bias", (out_dim,), output_bias, "zeros"))
-
-
 def _mlp_layers(arrays):
     """The hidden, bn and output layers over the eight arrays of an
-    ``_mlp_layout``, in its order.
+    ``mlp_layout``, in its order.
     """
     return dict(hidden=AffineLayer(*arrays[0:2]), bn=BatchNormLayer(*arrays[2:6]),
                 output=AffineLayer(*arrays[6:8]))
@@ -227,8 +213,7 @@ _KINDS = {
         forward=lambda meta, g, id_feats, mode: personal_scores(
             meta, id_feats, g, mode),
         backward=personal_scores_backward,
-        layout=lambda d: (("w_common", (d.n_classes, d.age_dim), True, "glorot"),)
-        + _mlp_layout(d.residual_in, d.hidden_dim, d.age_dim, False)),
+        layout=metalearner_layout),
     # only the weight: this keeps the baseline exactly equal to the
     # generator with its residual zeroed, which has no bias either
     "global": _Kind(
@@ -240,8 +225,8 @@ _KINDS = {
     "concat": _Kind(
         code=2, slot="mlp", make=lambda d, a: ConcatParams(dims=d, **_mlp_layers(a)),
         forward=_concat_forward, backward=_concat_backward,
-        layout=lambda d: _mlp_layout(d.age_dim + d.id_dim, d.hidden_dim,
-                                     d.n_classes, True)),
+        layout=lambda d: mlp_layout(d.age_dim + d.id_dim, d.hidden_dim,
+                                    d.n_classes, True)),
 }
 MODEL_KINDS = tuple(_KINDS)
 
@@ -410,9 +395,10 @@ def model_backward(model, grad_scores, cache):
         affine_backward(grad_g, raw, model.adapter)
 
 
-# samples per eval-mode model_forward call: at the acceptance size a chunk's
-# (chunk, K, H) hidden rows take 3.3 MB and stay in a 4 MiB L2 cache
-_PREDICT_CHUNK = 64
+# samples per eval-mode model_forward call; it bounds the (chunk, K + D + H)
+# rows a call holds (0.9 MB at the acceptance size), while metaage's hidden
+# rows come in tiles of metalearner._TILE_BYTES whatever the chunk
+_PREDICT_CHUNK = 512
 
 
 def model_predict(model, age_feats, id_feats):

@@ -5,9 +5,12 @@ import copy
 import numpy as np
 import pytest
 
+from persage import metalearner
 from persage.estimator import class_scores_batch
 from persage.losses import LossConfig, batch_loss
 from persage.mathcore import (
+    AffineLayer,
+    BatchNormLayer,
     affine_backward,
     affine_forward,
     batchnorm_backward,
@@ -18,6 +21,7 @@ from persage.mathcore import (
 )
 from persage.metalearner import (
     Dims,
+    MetaLearnerParams,
     generate_weights,
     generate_weights_backward,
     generate_weights_batch,
@@ -304,7 +308,7 @@ def _factored_cases():
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("k, d, f, h, b", _factored_cases())
-def test_factored_path_matches_explicit_rows(k, d, f, h, b, mode):
+def test_factored_path_matches_explicit_rows(k, d, f, h, b, mode, monkeypatch):
     dims = Dims(n_classes=k, age_dim=d, id_dim=f, hidden_dim=h)
     params = init_params(dims, k + d + f + h + b)
     rng = np.random.default_rng(b)
@@ -320,19 +324,24 @@ def test_factored_path_matches_explicit_rows(k, d, f, h, b, mode):
     ref, ref_weights, ref_scores, ref_grad_age = _explicit_reference(
         params, ids, age, mode, grad_scores)
 
-    by_weights = _owned_copy(params)
-    weights, wcache = generate_weights_batch(by_weights.meta, ids, mode)
-    _assert_close(weights, ref_weights, "weights")
-    by_scores = _owned_copy(params)
-    scores, scache = personal_scores(by_scores.meta, ids, age, mode)
-    _assert_close(scores, ref_scores, "scores")
-    for model in (by_weights, by_scores):
-        for stat in ("running_mean", "running_var"):
-            got = getattr(model.meta.bn, stat)
-            if mode == "eval":
-                assert np.array_equal(got, getattr(params.bn, stat))
-            else:
-                _assert_close(got, getattr(ref.meta.bn, stat), stat)
+    # eval mode builds the hidden rows a tile of samples at a time: one
+    # sample, 7 (which splits the larger batches unevenly) and the whole batch
+    for tile in (1, 7, b) if mode == "eval" else (None,):
+        if tile is not None:
+            monkeypatch.setattr(metalearner, "_TILE_BYTES", tile * 8 * k * h)
+        by_weights = _owned_copy(params)
+        weights, wcache = generate_weights_batch(by_weights.meta, ids, mode)
+        _assert_close(weights, ref_weights, f"weights, tile {tile}")
+        by_scores = _owned_copy(params)
+        scores, scache = personal_scores(by_scores.meta, ids, age, mode)
+        _assert_close(scores, ref_scores, f"scores, tile {tile}")
+        for model in (by_weights, by_scores):
+            for stat in ("running_mean", "running_var"):
+                got = getattr(model.meta.bn, stat)
+                if mode == "eval":
+                    assert np.array_equal(got, getattr(params.bn, stat))
+                else:
+                    _assert_close(got, getattr(ref.meta.bn, stat), stat)
     if mode == "eval":
         return
     generate_weights_backward(by_weights.meta,
@@ -345,6 +354,36 @@ def test_factored_path_matches_explicit_rows(k, d, f, h, b, mode):
         # the frozen biases get no gradient at all
         meta = model.meta
         assert not meta.hidden.grad_bias.any() and not meta.output.grad_bias.any()
+
+
+def _hand_built(w_common=None, hidden=None, bn=None, output=None):
+    """A generator at K=5, D=4, F=3, H=6 from its arrays, any of them swapped."""
+    dims = Dims(n_classes=5, age_dim=4, id_dim=3, hidden_dim=6)
+    good = init_params(dims, 0)
+    return MetaLearnerParams(
+        w_common=good.w_common if w_common is None else w_common,
+        hidden=hidden or good.hidden, bn=bn or good.bn,
+        output=output or good.output, dims=dims)
+
+
+@pytest.mark.parametrize("build, block", [
+    # a batch-norm layer needs four 1-D vectors of one width
+    (lambda: BatchNormLayer(np.ones(1), np.zeros(6), np.zeros(6), np.ones(6)),
+     "batch-norm vectors"),
+    # unchecked, each of the rest broadcasts into right-shaped results or
+    # fails inside numpy with a message that names no block
+    (lambda: _hand_built(bn=BatchNormLayer(np.ones(1), np.zeros(1), np.zeros(1),
+                                           np.ones(1))), "bn.gamma"),
+    (lambda: _hand_built(w_common=np.zeros((1, 4))), "w_common"),
+    (lambda: _hand_built(output=AffineLayer(np.zeros((5, 6)), np.zeros(5))),
+     "output.weight"),
+    (lambda: _hand_built(hidden=AffineLayer(np.zeros((6, 13)), np.zeros(6))),
+     "hidden.weight"),
+], ids=["bn-widths", "bn-width", "w_common", "output", "hidden"])
+def test_hand_built_generator_refuses_misshaped_blocks(build, block):
+    _hand_built()  # the unswapped arrays build
+    with pytest.raises(ValueError, match=block):
+        build()
 
 
 def test_train_mode_needs_two_rows_and_backward_needs_train_cache():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from persage import metrics
+from persage import metalearner
 from persage.data import SynthConfig, synth_generate
 from persage.metalearner import Dims
 from persage.metrics import (
@@ -259,8 +259,8 @@ def test_weight_embeddings_match_per_sample_in_any_chunking(monkeypatch):
     params.bn.running_var[:] = rng.uniform(0.5, 2.0, size=8)
     ids = rng.normal(size=(23, 5))
     per = np.stack([weight_embedding(params, h) for h in ids])
-    for chunk in (1, 7, 23, 256):
-        monkeypatch.setattr(metrics, "_EMBED_CHUNK", chunk)
+    for tile in (1, 7, 23, 256):  # samples per tile of hidden rows
+        monkeypatch.setattr(metalearner, "_TILE_BYTES", tile * 8 * 4 * 8)
         got = weight_embeddings(params, ids)
         assert got.shape == (23, 24)
         assert np.abs(got - per).max() <= 1e-12 * np.abs(per).max()

@@ -10,7 +10,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from persage import training
+from persage import metalearner, training
 from persage.data import Dataset, SynthConfig, split, synth_generate
 from persage.losses import batch_loss
 from persage.mathcore import (
@@ -92,14 +92,18 @@ def test_trained_model_slot_validation():
                         bias=np.zeros(dims.n_classes + 1))
     with pytest.raises(ValueError, match="shape"):
         TrainedModel(kind="global", dims=dims, table=wrong)
-    # a generator is checked by the model's binder alone
+    # a generator checks its own blocks before any model binds it
     good = init_params(dims, 0)
-    bad = MetaLearnerParams(
-        w_common=good.w_common, hidden=good.hidden, bn=good.bn,
-        output=AffineLayer(weight=np.zeros((dims.age_dim, dims.hidden_dim + 1)),
-                           bias=np.zeros(dims.age_dim)), dims=dims)
     with pytest.raises(ValueError, match="shape"):
-        TrainedModel(kind="metaage", dims=dims, meta=bad)
+        MetaLearnerParams(
+            w_common=good.w_common, hidden=good.hidden, bn=good.bn,
+            output=AffineLayer(weight=np.zeros((dims.age_dim, dims.hidden_dim + 1)),
+                               bias=np.zeros(dims.age_dim)), dims=dims)
+    # a block swapped after construction is still refused by the binder
+    good.output = AffineLayer(weight=np.zeros((dims.age_dim, dims.hidden_dim + 1)),
+                              bias=np.zeros(dims.age_dim))
+    with pytest.raises(ValueError, match="shape"):
+        TrainedModel(kind="metaage", dims=dims, meta=good)
 
 
 # ------------------------------------------------------------ parameter store
@@ -500,24 +504,31 @@ def test_evaluate_is_side_effect_free():
 
 def test_eval_predictions_ignore_batch_makeup_and_chunk(monkeypatch):
     # eval mode normalizes with running statistics only, so a sample's
-    # prediction is the same alone, in any batch and in any chunking
+    # prediction is the same alone, in any batch, in any chunking and in any
+    # tiling of the generator's hidden rows
     ds = small_dataset()
     gallery = small_dataset(seed=2, n_identities=100, per=6)
     age, ids = gallery.age_feats, gallery.id_feats
-    n = len(gallery)  # 600: every chunk size below splits it
+    n = len(gallery)  # 600: every chunk and tile size below splits it
     perm = np.random.default_rng(4).permutation(n)
+    d = small_dims()
+    row_bytes = 8 * d.n_classes * d.hidden_dim  # one sample's hidden rows
     for kind in MODEL_KINDS:
         model = train(ds, quick_config(model_kind=kind, epochs=2))
         monkeypatch.setattr(training, "_PREDICT_CHUNK", n)
+        monkeypatch.setattr(metalearner, "_TILE_BYTES", n * row_bytes)
         ref = model_predict(model, age, ids)
 
         def check(got, want, what):
             err = np.abs(got - want).max()
             assert err <= 1e-12, f"{kind}, {what}: max abs error {err:.3e}"
 
-        for chunk in (1, 7, 512):
-            monkeypatch.setattr(training, "_PREDICT_CHUNK", chunk)
-            check(model_predict(model, age, ids), ref, f"chunk {chunk}")
+        for tile in (1, 7, n):
+            monkeypatch.setattr(metalearner, "_TILE_BYTES", tile * row_bytes)
+            for chunk in (1, 7, 512):
+                monkeypatch.setattr(training, "_PREDICT_CHUNK", chunk)
+                check(model_predict(model, age, ids), ref,
+                      f"chunk {chunk}, tile {tile}")
         monkeypatch.setattr(training, "_PREDICT_CHUNK", 7)
         check(model_predict(model, age[perm], ids[perm]), ref[perm],
               "permuted batch")
@@ -528,8 +539,10 @@ def test_eval_predictions_ignore_batch_makeup_and_chunk(monkeypatch):
 
 
 def test_eval_memory_stays_within_a_chunk():
-    # at the acceptance size a metaage chunk of _PREDICT_CHUNK samples holds
-    # (chunk, K, H) hidden rows: 3.3 MB at 64 rows, 26 MB at 512
+    # _PREDICT_CHUNK bounds the rows a model_forward call holds and
+    # metalearner._TILE_BYTES the generator's (tile, K, H) hidden rows: at
+    # the acceptance size a 512-sample chunk of untiled hidden rows would
+    # take 26 MB
     dims = Dims(n_classes=101, age_dim=64, id_dim=32, hidden_dim=64)
     model = init_model(TrainConfig(dims=dims, model_kind="metaage", seed=0))
     rng = np.random.default_rng(5)
@@ -543,6 +556,31 @@ def test_eval_memory_stays_within_a_chunk():
         tracemalloc.stop()
     assert preds.shape == (2000,) and np.isfinite(preds).all()
     assert peak < 16 * 2**20
+
+
+def test_eval_memory_stays_within_a_tile():
+    # eval-mode metaage holds one tile of (tile, K, H) hidden rows, never a
+    # chunk's, next to a few (chunk, K + D + H)-wide sets of rows: the adapted
+    # features, the two generator terms and projection, the scores and their
+    # softmax temporaries. Three such sets bound it; untiled 512-sample
+    # chunks would hold 26 MB of hidden rows, 64-sample ones 3.3 MB
+    k, d, f, h = 101, 64, 32, 64
+    dims = Dims(n_classes=k, age_dim=d, id_dim=f, hidden_dim=h)
+    model = init_model(TrainConfig(dims=dims, model_kind="metaage", seed=0))
+    rng = np.random.default_rng(5)
+    age = rng.normal(size=(2000, d))
+    ids = rng.normal(size=(2000, f))
+    tile = min(2000, metalearner._TILE_BYTES // (8 * k * h))
+    chunk = min(2000, training._PREDICT_CHUNK)
+    bound = 8 * tile * k * h + 3 * 8 * chunk * (k + d + h)
+    tracemalloc.start()
+    try:
+        preds = model_predict(model, age, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert preds.shape == (2000,) and np.isfinite(preds).all()
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 def test_running_variance_finite_and_nonnegative_after_training():
