@@ -39,7 +39,7 @@ def main():
     dataset, _ = synth_generate(CONFIG)
     train_set, test_set = split(dataset, (0.8, 0.2), seed=CONFIG.seed,
                                 by_identity=True)
-    oracle = compute_oracle(test_set, CONFIG)
+    oracle = compute_oracle(test_set)
     print(f"{len(train_set)} train / {len(test_set)} test samples, "
           f"identity-disjoint, K={CONFIG.n_classes}, "
           f"offsets up to +/-{CONFIG.offset_max:g} classes")

@@ -15,7 +15,6 @@ in for command flags; explicit flags override file values. Exit codes:
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from datetime import datetime, timezone
@@ -27,6 +26,7 @@ from .data import (
     FormatError,
     SynthConfig,
     compute_oracle,
+    json_text,
     read_features,
     split,
     synth_generate,
@@ -71,10 +71,6 @@ def _now():
     return datetime.now(timezone.utc).isoformat()
 
 
-def _json_text(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _write_out(out_dir, command, output, started):
     """Create ``out_dir``, write the files in order, then the manifest."""
     os.makedirs(out_dir, exist_ok=True)
@@ -91,7 +87,7 @@ def _write_out(out_dir, command, output, started):
     manifest = {"command": command, "config": output.config, "seed": output.seed,
                 "started": started, "finished": _now(), "outputs": paths}
     with open(paths[-1], "w", encoding="utf-8") as fh:
-        fh.write(_json_text(manifest))
+        fh.write(json_text(manifest))
 
 
 def _expand_config_flag(argv):
@@ -166,7 +162,7 @@ def cmd_synth(args):
     dataset, oracle = synth_generate(config)
     train_set, test_set = _split(dataset, (args.train_frac, 1.0 - args.train_frac),
                                  config.seed, by_identity=True)
-    test_oracle = compute_oracle(test_set, config)
+    test_oracle = compute_oracle(test_set)
     oracle_doc = {
         "bayes_mae_global": test_oracle.bayes_mae_global,
         "bayes_mae_personal": test_oracle.bayes_mae_personal,
@@ -179,7 +175,7 @@ def cmd_synth(args):
     conf["train_frac"] = args.train_frac
     files = [("train.mafv1", lambda path: write_features(path, train_set)),
              ("test.mafv1", lambda path: write_features(path, test_set)),
-             ("oracle.json", _json_text(oracle_doc))]
+             ("oracle.json", json_text(oracle_doc))]
     return CommandOutput(
         conf, config.seed, files,
         f"wrote {len(train_set)} train / {len(test_set)} test samples; "
@@ -301,7 +297,7 @@ def cmd_retrieve(args):
         message = f"{len(dataset)} queries ranked (no identity tags)"
     return CommandOutput(
         {"model": args.model, "data": args.data, "fraction": args.fraction},
-        None, [("retrieval.json", _json_text(report))], message)
+        None, [("retrieval.json", json_text(report))], message)
 
 
 # --------------------------------------------------------------------- parser
@@ -396,7 +392,3 @@ def main(argv=None):
         return 1
     print(output.message)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,5 @@
-"""Datasets, the bit-exact feature file format, and the synthetic benchmark.
+"""Datasets, the bit-exact feature file format, the text of the JSON and CSV
+artifacts, and the synthetic benchmark.
 
 A dataset is stored as one array per field rather than a list of record
 objects. All arrays are read-only after construction so nothing downstream
@@ -18,6 +19,7 @@ followed by a read reproduces the dataset bit for bit.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from dataclasses import dataclass
@@ -135,6 +137,17 @@ def write_features(path, dataset):
         fh.write(rec.tobytes())
 
 
+def json_text(doc):
+    """A JSON artifact's text: sorted keys, two-space indent, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header, rows):
+    """A CSV artifact's text: the header line, then each row's values as
+    ``repr``, comma-separated, and a final newline."""
+    return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
+
+
 def read_features(path):
     with open(path, "rb") as fh:
         head = fh.read(HEADER.size)
@@ -248,7 +261,6 @@ class SynthConfig:
 class SynthOracle:
     """Best-achievable test MAE with and without knowing who the person is."""
 
-    offsets: np.ndarray        # per-identity true offsets (identity-indexed)
     bayes_mae_global: float    # identity-blind decoder
     bayes_mae_personal: float  # decoder that knows each person's offset
 
@@ -310,7 +322,7 @@ def synth_generate(config):
                       identity_ids=identity_ids, age_feats=_f32(age_feats),
                       id_feats=_f32(id_feats), n_classes=config.n_classes,
                       latent_offsets=offsets)
-    return dataset, compute_oracle(dataset, config)
+    return dataset, compute_oracle(dataset)
 
 
 def decode_apparent_age(age_feats, n_classes, age_dim):
@@ -339,7 +351,7 @@ def decode_apparent_age(age_feats, n_classes, age_dim):
     return np.clip(vertex, 0.0, n_classes - 1.0)
 
 
-def compute_oracle(dataset, config):
+def compute_oracle(dataset):
     """Bayes-style MAE floors for a synthetic dataset (or any of its splits).
 
     Decodes the apparent-age signal from the stored (noisy, 32-bit) features;
@@ -353,16 +365,9 @@ def compute_oracle(dataset, config):
                                   dataset.age_dim)
     personal = np.clip(decoded - dataset.latent_offsets, 0.0,
                        dataset.n_classes - 1.0)
-    mae_global = float(np.abs(decoded - dataset.labels).mean())
-    mae_personal = float(np.abs(personal - dataset.labels).mean())
-    # identity-indexed offsets for reporting: first occurrence of each id
-    if dataset.has_all_identities():
-        _, first = np.unique(dataset.identity_ids, return_index=True)
-        offsets = dataset.latent_offsets[first]
-    else:
-        offsets = dataset.latent_offsets
-    return SynthOracle(offsets=np.array(offsets), bayes_mae_global=mae_global,
-                       bayes_mae_personal=mae_personal)
+    return SynthOracle(
+        bayes_mae_global=float(np.abs(decoded - dataset.labels).mean()),
+        bayes_mae_personal=float(np.abs(personal - dataset.labels).mean()))
 
 
 # ------------------------------------------------------------ split / batches

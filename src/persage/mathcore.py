@@ -18,10 +18,8 @@ BN_EPSILON = 1e-5  # added to the variance before its square root
 
 def _as_batch(x, cols, what="input"):
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"{what} must be 2-D, got shape {x.shape}")
-    if x.shape[1] != cols:
-        raise ValueError(f"{what} has {x.shape[1]} columns, expected {cols}")
+    if x.ndim != 2 or x.shape[1] != cols:
+        raise ValueError(f"{what} must be (batch, {cols}), got shape {x.shape}")
     return x
 
 
@@ -66,10 +64,6 @@ def affine_backward(grad_out, cached_x, layer):
     """Accumulate dW = grad_out.T @ x and db = sum(grad_out); return dx = grad_out @ W."""
     grad_out = _as_batch(grad_out, layer.out_dim, "grad_out")
     cached_x = _as_batch(cached_x, layer.in_dim, "cached x")
-    if grad_out.shape[0] != cached_x.shape[0]:
-        raise ValueError(
-            f"batch mismatch: grad_out {grad_out.shape[0]} vs cached x {cached_x.shape[0]}"
-        )
     layer.grad_weight += grad_out.T @ cached_x
     layer.grad_bias += grad_out.sum(axis=0)
     return grad_out @ layer.weight
@@ -127,14 +121,22 @@ class BatchNormCache:
     inv_std: np.ndarray
 
 
+def update_running_stats(layer, mean, var):
+    """Fold one batch's mean and biased variance into the layer's running
+    estimates, at the rate BN_MOMENTUM.
+    """
+    m = BN_MOMENTUM
+    layer.running_mean[:] = (1.0 - m) * layer.running_mean + m * mean
+    layer.running_var[:] = (1.0 - m) * layer.running_var + m * var
+
+
 def batchnorm_forward(x, layer, mode):
     """Returns (y, cache). cache is None in eval mode.
 
     Train mode normalizes with batch statistics (biased variance) and folds
-    them into the running estimates with
-    ``running = (1-BN_MOMENTUM)*running + BN_MOMENTUM*batch``; its output never
-    reads the running statistics. Eval mode uses the running statistics and
-    never mutates the layer. ``mode`` is "train" or "eval".
+    them into the running estimates with ``update_running_stats``; its output
+    never reads the running statistics. Eval mode uses the running statistics
+    and never mutates the layer. ``mode`` is "train" or "eval".
     """
     x = _as_batch(x, layer.width)
     if mode not in ("train", "eval"):
@@ -147,9 +149,7 @@ def batchnorm_forward(x, layer, mode):
         raise ValueError("train-mode batch normalization needs batch >= 2")
     mean = x.mean(axis=0)
     var = x.var(axis=0)
-    m = BN_MOMENTUM
-    layer.running_mean[:] = (1.0 - m) * layer.running_mean + m * mean
-    layer.running_var[:] = (1.0 - m) * layer.running_var + m * var
+    update_running_stats(layer, mean, var)
     inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     x_hat = (x - mean) * inv_std
     return layer.gamma * x_hat + layer.beta, BatchNormCache(x_hat=x_hat, inv_std=inv_std)
@@ -161,8 +161,6 @@ def batchnorm_backward(grad_out, cache, layer):
         raise ValueError("batchnorm_backward needs the cache from a train-mode forward")
     grad_out = _as_batch(grad_out, layer.width, "grad_out")
     x_hat = cache.x_hat
-    if grad_out.shape != x_hat.shape:
-        raise ValueError(f"grad_out shape {grad_out.shape} != cached {x_hat.shape}")
     n = grad_out.shape[0]
     layer.grad_gamma += (grad_out * x_hat).sum(axis=0)
     layer.grad_beta += grad_out.sum(axis=0)
@@ -178,8 +176,6 @@ def relu_backward(grad_out, cached_x):
     """Gradient passes where x > 0; the subgradient at exactly 0 is 0."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
     cached_x = np.asarray(cached_x, dtype=np.float64)
-    if grad_out.shape != cached_x.shape:
-        raise ValueError(f"grad_out shape {grad_out.shape} != cached x {cached_x.shape}")
     return np.where(cached_x > 0.0, grad_out, 0.0)
 
 

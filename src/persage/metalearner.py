@@ -1,11 +1,18 @@
 """Per-person weight generation: a shared weight table plus a learned residual.
 
-Each person gets their own K x D classifier weight matrix. Row i starts from a
-common (population-level) row and is corrected by a small conditioning network
-that sees the person's identity features, the common row itself, and a one-hot
+Each person gets their own K x D classifier weight matrix. Row i is a common
+(population-level) row plus the output of a conditioning network that sees
+the person's identity features, the common row itself, and a one-hot
 encoding of the class index. Querying the network once per class, with the
 class in the input instead of the output, keeps the output dimension at D
 rather than K*D.
+
+The residual is no small correction. Through the one-hot input it also
+carries a per-class table that every person shares: on the acceptance
+benchmark (K=101, D=64, F=32, H=64, 20 epochs) a person's residual has 28
+times the Frobenius norm of the common table (26.6 to 29.6 times over the
+400 test rows; 8.8 times after one epoch), while persons' matrices lie a
+median 0.14 of the mean matrix's norm from that mean.
 
 Structure of the conditioning network: affine (H x (F+D+K)) -> batch norm ->
 ReLU -> affine (D x H). Neither affine layer trains a bias. The hidden bias
@@ -48,11 +55,11 @@ import numpy as np
 
 from .mathcore import (
     BN_EPSILON,
-    BN_MOMENTUM,
     AffineLayer,
     BatchNormLayer,
     affine_forward,
     mlp_layout,
+    update_running_stats,
 )
 
 
@@ -115,9 +122,10 @@ def _check_ids(params, id_feats):
     return id_feats
 
 
-# bytes of (rows, K, H) hidden rows per eval tile, as retrieve's 1 MiB block
-# buffer: 20 rows at the acceptance size, which stay in one core's 2 MiB L2
-# through their add, ReLU and matvec
+# bytes of one eval working tile: the generator's (rows, K, H) hidden rows
+# here and metrics.retrieve's block of squared differences. 20 rows at the
+# acceptance size, which stay in one core's 2 MiB L2 through their add, ReLU
+# and matvec
 _TILE_BYTES = 2**20
 
 
@@ -157,11 +165,8 @@ def _hidden_tiles(params, id_feats, mode):
         if b * d.n_classes < 2:
             raise ValueError("train-mode batch normalization needs batch >= 2")
         mean_person, mean_table = person.mean(axis=0), table.mean(axis=0)
-        mean = mean_person + mean_table
         var = person.var(axis=0) + table.var(axis=0)
-        m = BN_MOMENTUM
-        bn.running_mean[:] = (1.0 - m) * bn.running_mean + m * mean
-        bn.running_var[:] = (1.0 - m) * bn.running_var + m * var
+        update_running_stats(bn, mean_person + mean_table, var)
         rows = b
     elif mode == "eval":
         mean_person, mean_table, var = 0.0, bn.running_mean, bn.running_var

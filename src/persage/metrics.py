@@ -7,12 +7,12 @@ guess one: a missing or non-positive spread is a data bug, not a zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metalearner import generate_weights, generate_weights_batch
+from .data import csv_text, json_text
+from .metalearner import _TILE_BYTES, generate_weights, generate_weights_batch
 
 
 def _pair(preds, labels):
@@ -65,16 +65,13 @@ class EvalResult:
     n_samples: int
 
     def to_json(self):
-        return json.dumps(
-            {"mae": self.mae,
-             "cs_curve": [[t, v] for t, v in self.cs_curve],
-             "eps_error": self.eps_error,
-             "n_samples": self.n_samples},
-            sort_keys=True, indent=2) + "\n"
+        return json_text({"mae": self.mae,
+                          "cs_curve": [[t, v] for t, v in self.cs_curve],
+                          "eps_error": self.eps_error,
+                          "n_samples": self.n_samples})
 
     def cs_csv(self):
-        lines = ["theta,cs"] + [f"{t},{v!r}" for t, v in self.cs_curve]
-        return "\n".join(lines) + "\n"
+        return csv_text("theta,cs", self.cs_curve)
 
 
 _THETA_MAX = 10  # eval_result's cumulative-score thresholds are 0.._THETA_MAX
@@ -136,11 +133,11 @@ def retrieve(query_embedding, gallery_embeddings, query_index=None):
     if gallery.shape[1] != query.shape[0]:
         raise ValueError(f"embedding dim mismatch: query {query.shape[0]}, "
                          f"gallery {gallery.shape[1]}")
-    # squared differences of about 1 MiB of rows at a time, in one reused
+    # squared differences of _TILE_BYTES of rows at a time, in one reused
     # C-ordered buffer: np.linalg.norm's sqrt(add.reduce(x * x)) for real x,
     # without its temporaries, each row summed alone in the same order
     n = gallery.shape[0]
-    rows = min(max(1, 2**17 // query.shape[0]), n)
+    rows = min(max(1, _TILE_BYTES // (8 * query.shape[0])), n)
     buf = np.empty((rows, query.shape[0]))
     distances = np.empty(n)
     for start in range(0, n, rows):

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import batches
+from .data import batches, csv_text
 from .estimator import expected_ages
 from .losses import LossConfig, batch_loss
 from .mathcore import (
@@ -374,9 +374,19 @@ def init_params(dims, seed):
 # ----------------------------------------------------------- forward/backward
 
 def model_forward(model, age_feats, id_feats, mode):
-    """Class scores (B, K) plus the cache the backward pass needs."""
+    """Class scores (B, K) plus the cache the backward pass needs.
+
+    Every kind takes (B, D) age features and (B, F) identity features.
+    """
+    d = model.dims
     age_feats = np.asarray(age_feats, dtype=np.float64)
     id_feats = np.asarray(id_feats, dtype=np.float64)
+    if age_feats.ndim != 2 or age_feats.shape[1] != d.age_dim:
+        raise ValueError(f"age features must be (B, {d.age_dim}), "
+                         f"got {age_feats.shape}")
+    if id_feats.shape != (age_feats.shape[0], d.id_dim):
+        raise ValueError(f"identity features must be ({age_feats.shape[0]}, "
+                         f"{d.id_dim}), got {id_feats.shape}")
     if model.adapter is not None:
         g = affine_forward(age_feats, model.adapter)
     else:
@@ -386,10 +396,17 @@ def model_forward(model, age_feats, id_feats, mode):
 
 
 def model_backward(model, grad_scores, cache):
-    """Accumulate parameter gradients for the cached forward pass."""
+    """Accumulate parameter gradients for the cached forward pass.
+
+    ``grad_scores`` must be (B, K), the shape of the cached pass's scores.
+    """
     kind, raw, kind_cache = cache
     if kind != model.kind:
         raise ValueError(f"cache from kind {kind!r} fed to {model.kind!r}")
+    grad_scores = np.asarray(grad_scores, dtype=np.float64)
+    if grad_scores.shape != (raw.shape[0], model.dims.n_classes):
+        raise ValueError(f"grad_scores must be ({raw.shape[0]}, "
+                         f"{model.dims.n_classes}), got {grad_scores.shape}")
     grad_g = _KINDS[kind].backward(model.params, grad_scores, kind_cache)
     if model.adapter is not None:
         affine_backward(grad_g, raw, model.adapter)
@@ -516,18 +533,13 @@ def lambda_delta_sweep(dataset, config, lambda_grid, delta_grid, holdout):
 
 
 def sweep_csv(rows):
-    lines = ["lambda,delta,mae"]
-    for lam, delta, mae_value in rows:
-        lines.append(f"{lam!r},{delta!r},{mae_value!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text("lambda,delta,mae", rows)
 
 
 def history_csv(model):
     """Per-epoch training curve as CSV text, epochs numbered from 1."""
-    lines = ["epoch,loss,train_mae"]
-    for epoch, (loss, mae_value) in enumerate(model.history, 1):
-        lines.append(f"{epoch},{loss!r},{mae_value!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text("epoch,loss,train_mae",
+                    ((epoch, *entry) for epoch, entry in enumerate(model.history, 1)))
 
 
 # ---------------------------------------------------------------- checkpoints

@@ -83,7 +83,7 @@ def bench_train_config(**kw):
 def benchmark_data():
     dataset, _ = synth_generate(BENCH)
     train_set, test_set = split(dataset, (0.8, 0.2), seed=7, by_identity=True)
-    oracle = compute_oracle(test_set, BENCH)
+    oracle = compute_oracle(test_set)
     return train_set, test_set, oracle
 
 

@@ -1,6 +1,9 @@
 """Command-line contract: artifacts, exit codes, config files, reproducibility."""
 
+import dataclasses
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import pytest
 import persage.cli
 import persage.training
 from persage.cli import main
-from persage.data import HEADER, read_features
+from persage.data import HEADER, read_features, write_features
 from persage.metrics import retrieve, weight_embedding
 from persage.training import load_model
 
@@ -202,6 +205,47 @@ def test_retrieve_flags_degenerate_zero_residual(workspace, tmp_path):
     assert all(d == 0.0 for d in doc["queries"][0]["distances"])
 
 
+def test_retrieve_untagged_gallery_ranks_without_rates(workspace, tmp_path):
+    # records without an identity tag have no same-identity rates: every
+    # query is still ranked, and the rates are left out
+    tagged = read_features(workspace / "data" / "test.mafv1")
+    gallery = tmp_path / "untagged.mafv1"
+    write_features(gallery, dataclasses.replace(
+        tagged, identity_ids=np.full(len(tagged), -1)))
+    out = tmp_path / "ret"
+    assert run("retrieve", "--model", str(workspace / "run" / "model.mapc"),
+               "--data", str(gallery), "--out", str(out)) == 0
+    doc = json.loads((out / "retrieval.json").read_text())
+    assert doc["n"] == len(doc["queries"]) == len(tagged)
+    assert doc["mean_top_same_identity_rate"] is None
+    assert doc["mean_bottom_same_identity_rate"] is None
+    for entry in doc["queries"]:
+        assert set(entry) == {"query_index", "ranked_indices", "distances"}
+        assert entry["ranked_indices"][0] == entry["query_index"]
+
+
+def test_retrieve_rejects_gallery_of_another_width(workspace, tmp_path, capsys):
+    data = read_features(workspace / "data" / "test.mafv1")
+    for name, narrow in (("age", dict(age_feats=data.age_feats[:, :-1])),
+                         ("id", dict(id_feats=data.id_feats[:, :-1]))):
+        gallery = tmp_path / f"{name}.mafv1"
+        write_features(gallery, dataclasses.replace(data, **narrow))
+        capsys.readouterr()
+        assert run("retrieve", "--model", str(workspace / "run" / "model.mapc"),
+                   "--data", str(gallery), "--out", str(tmp_path / name)) == 1
+        assert "widths do not match" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    # ``python -m persage`` exits with main's status
+    monkeypatch.setattr(sys, "argv", ["persage", "nonsense"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("persage", run_name="__main__")
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_config_file_and_flag_override(workspace, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs=2\nlr=0.003\nbatch=8\nhidden=16\nseed=7\n# note\n")
@@ -214,6 +258,10 @@ def test_config_file_and_flag_override(workspace, tmp_path):
                "--out", str(tmp_path / "c2")) == 0
     doc = json.loads((tmp_path / "c2" / "manifest.json").read_text())
     assert doc["config"]["epochs"] == 1  # explicit flag wins
+    assert run("train", "--data", data, f"--config={cfg}",
+               "--out", str(tmp_path / "c3")) == 0
+    assert (tmp_path / "c3" / "model.mapc").read_bytes() == \
+        (tmp_path / "c1" / "model.mapc").read_bytes()
 
 
 def _no_training(*args, **kwargs):
@@ -288,4 +336,17 @@ def test_exit_codes(workspace, tmp_path, capsys, monkeypatch):
     cfg.write_text("this is not key value\n")
     assert run("train", "--data", str(workspace / "data" / "train.mafv1"),
                "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+    # a --config without a path, and a config file that cannot be read
+    capsys.readouterr()
+    assert run("train", "--data", str(workspace / "data" / "train.mafv1"),
+               "--out", str(tmp_path / "x"), "--config") == 2
+    assert "--config needs a file path" in capsys.readouterr().err
+    assert run("train", "--data", str(workspace / "data" / "train.mafv1"),
+               "--config", str(tmp_path / "missing.cfg"),
+               "--out", str(tmp_path / "x")) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    # the training share of a synth split lies strictly between 0 and 1
+    for frac in ("0", "1", "1.5"):
+        assert run(*SYNTH, "--train-frac", frac, "--out", str(tmp_path / "x")) == 2
+        assert "train-frac must be in (0, 1)" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()

@@ -50,6 +50,16 @@ def test_dataset_validation():
         Dataset(labels=np.array([0.0]), sigmas=np.array([np.nan]),
                 identity_ids=np.full(1, -1), age_feats=np.array([[np.inf, 0, 0]]),
                 id_feats=np.zeros((1, 2)), n_classes=10)
+    fields = dict(labels=np.zeros(2), sigmas=np.full(2, np.nan),
+                  identity_ids=np.full(2, -1), age_feats=np.zeros((2, 3)),
+                  id_feats=np.zeros((2, 2)), n_classes=10)
+    for bad, message in ((dict(age_feats=np.zeros(3)), "2-D"),
+                         (dict(id_feats=np.zeros((3, 2))), "lengths disagree"),
+                         (dict(sigmas=np.ones(3)), "lengths disagree"),
+                         (dict(n_classes=0), "n_classes"),
+                         (dict(latent_offsets=np.zeros(3)), "per sample")):
+        with pytest.raises(ValueError, match=message):
+            Dataset(**{**fields, **bad})
     # buffers are frozen
     with pytest.raises(ValueError):
         ds.labels[0] = 1.0
@@ -102,6 +112,12 @@ def test_parse_errors_carry_offsets(tmp_path):
     bad.write_bytes(bytes(raw[:4]) + b"\x07" + bytes(raw[5:]))
     with pytest.raises(FormatError, match="offset 4"):
         read_features(bad)
+
+    # a zero D, F or K in the header
+    for start in (9, 13, 17):
+        bad.write_bytes(bytes(raw[:start]) + bytes(4) + bytes(raw[start + 4:]))
+        with pytest.raises(FormatError, match="invalid dims .* offset 9"):
+            read_features(bad)
 
     bad.write_bytes(bytes(raw[:-3]))
     with pytest.raises(FormatError, match="expected .* got"):
@@ -189,10 +205,8 @@ def test_synth_offsets_bounded_and_sigma_rule():
     config = SynthConfig(n_identities=30, samples_per_identity=2, n_classes=40,
                          age_dim=16, id_dim=8, latent_dim=4, offset_max=3.0,
                          seed=2)
-    ds, oracle = synth_generate(config)
+    ds, _ = synth_generate(config)
     assert np.abs(ds.latent_offsets).max() <= 3.0
-    assert np.abs(oracle.offsets).max() <= 3.0
-    assert oracle.offsets.shape == (30,)
     expect = np.float32(1.0 + np.abs(ds.latent_offsets) / 2.0).astype(np.float64)
     assert np.array_equal(ds.sigmas, expect)
     assert ds.has_all_sigmas()
@@ -232,6 +246,9 @@ def test_decode_exact_on_noiseless_features():
     z = np.clip(ds.labels + ds.latent_offsets, 0.0, ds.n_classes - 1.0)
     # only 32-bit feature storage separates decoded from exact
     assert np.abs(decoded - z).max() < 1e-4
+    # the parabola needs a center on each side of the peak
+    with pytest.raises(ValueError, match="at least 3"):
+        decode_apparent_age(ds.age_feats[:, :2], ds.n_classes, 2)
 
 
 def test_oracle_zero_when_degenerate():
@@ -273,7 +290,7 @@ def test_oracle_needs_latents(tmp_path):
     write_features(tmp_path / "x.mafv1", ds)
     loaded = read_features(tmp_path / "x.mafv1")
     with pytest.raises(ValueError, match="latents"):
-        compute_oracle(loaded, None)
+        compute_oracle(loaded)
 
 
 def test_oracle_works_on_splits():
@@ -281,9 +298,8 @@ def test_oracle_works_on_splits():
                          age_dim=20, id_dim=6, latent_dim=4, seed=21)
     ds, _ = synth_generate(config)
     train, test = split(ds, (0.75, 0.25), seed=0, by_identity=True)
-    oracle = compute_oracle(test, config)
+    oracle = compute_oracle(test)
     assert oracle.bayes_mae_personal <= oracle.bayes_mae_global
-    assert oracle.offsets.shape == (5,)
 
 
 # ---------------------------------------------------------------- split/batches
@@ -327,6 +343,8 @@ def test_split_fraction_validation():
         split(ds, (0.5, 0.4), seed=0)
     with pytest.raises(ValueError):
         split(ds, (0.5, 0.3, 0.2), seed=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        split(ds, (1.25, -0.25), seed=0)
 
 
 def test_batches_shapes_and_coverage():

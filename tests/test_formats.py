@@ -5,7 +5,9 @@ the block order README.md documents, so they pin the file format
 independently of the codec that writes it.
 """
 
+import os
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -81,6 +83,26 @@ def test_readers_raise_only_their_own_errors(tmp_path, dataset, models):
                 reader(hostile)
             except error as exc:
                 assert "byte offset" in str(exc), f"{name}: {exc!r}"
+
+
+def test_readers_refuse_a_file_that_shrinks_while_read(tmp_path, dataset, models,
+                                                      monkeypatch):
+    # the size check and the payload read are two steps; a file cut short
+    # between them still fails with the reader's own error
+    write_features(tmp_path / "features.mafv1", dataset)
+    save_model(tmp_path / "model.mapc", models["metaage", True])
+    for name, reader, error, message in (
+            ("features.mafv1", read_features, FormatError, "changed size"),
+            ("model.mapc", load_model, CheckpointError, "truncated")):
+        full = (tmp_path / name).read_bytes()
+        (tmp_path / "short").write_bytes(full[:-8])
+        with monkeypatch.context() as patch:
+            # the size the file had when the reader checked it
+            patch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+                st_size=len(full)))
+            with pytest.raises(error, match=message) as exc:
+                reader(tmp_path / "short")
+        assert "byte offset" in str(exc.value)
 
 
 # ------------------------------------------------------------------ layout

@@ -163,6 +163,8 @@ def test_ord_loss_validation():
         ord_loss(np.zeros(3), 3, 2.0)
     with pytest.raises(ValueError):
         ord_loss(np.zeros(3), -1, 2.0)
+    with pytest.raises(ValueError, match="vector"):
+        ord_loss(np.zeros((2, 3)), 0, 2.0)
 
 
 def test_ord_loss_matches_reference():
@@ -217,6 +219,26 @@ def test_ord_loss_zero_iff_unimodal_with_margin():
             loss, _ = ord_loss(broken, y, delta)
             assert loss > 0.0, f"violating case seed {seed - 1} gave 0"
             count_violate += 1
+
+
+def test_gaps_exactly_on_the_margin_cost_nothing():
+    # the subgradient at a kink is 0: scores that rise by exactly delta up
+    # to the class and fall by exactly delta after it (integers, so exact)
+    # give zero loss and zero gradient
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        k = int(rng.integers(2, 12))
+        delta = float(rng.integers(0, 4))
+        ys = rng.integers(0, k, size=5)
+        scores = -delta * np.abs(np.arange(k)[None, :] - ys[:, None])
+        for row, y in zip(scores, ys):
+            loss, grad = ord_loss(row, y, delta)
+            assert loss == 0.0 and not grad.any()
+        labels = ys.astype(np.float64)
+        loss, grad = batch_loss(scores, labels, None, LossConfig(lam=0.5, delta=delta))
+        ce_loss, ce_grad = batch_loss(scores, labels, None,
+                                      LossConfig(lam=0.0, delta=delta))
+        assert loss == ce_loss and np.array_equal(grad, ce_grad)
 
 
 def test_ord_loss_gradient_matches_finite_differences_away_from_kinks():
@@ -387,6 +409,14 @@ def test_batch_loss_soft_mode_matches_per_sample_ops():
         per.append(total_loss(scores[i], t, hard[i], config))
     assert abs(loss - np.mean([p[0] for p in per])) < 1e-12
     assert np.allclose(grad, np.stack([p[1] for p in per]) / b, atol=1e-12)
+
+
+def test_batch_loss_needs_one_label_per_score_row():
+    config = LossConfig()
+    for scores, labels in ((np.zeros(5), np.zeros(1)), (np.zeros((2, 5)), np.zeros(3)),
+                           (np.zeros((2, 5)), np.zeros((2, 1)))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            batch_loss(scores, labels, None, config)
 
 
 def test_batch_loss_soft_mode_requires_sigmas():

@@ -192,6 +192,15 @@ def test_batchnorm_gradients_match_finite_differences():
         assert report.passed, str(report)
 
 
+def test_batchnorm_layer_validation():
+    with pytest.raises(ValueError, match="one width"):
+        BatchNormLayer(gamma=np.ones(2), beta=np.zeros(3),
+                       running_mean=np.zeros(2), running_var=np.ones(2))
+    with pytest.raises(ValueError, match="running_var"):
+        BatchNormLayer(gamma=np.ones(2), beta=np.zeros(2),
+                       running_mean=np.zeros(2), running_var=np.array([1.0, -1e-12]))
+
+
 def test_batchnorm_backward_requires_cache():
     layer = fresh_batchnorm(2)
     with pytest.raises(ValueError):
@@ -248,6 +257,8 @@ def test_grad_check_exact_on_quadratic():
     report = grad_check(loss_fn, {"w": w}, {"w": np.array([[8.0 * w[0, 0]]])})
     assert report.passed
     assert report.max_rel_err < 1e-10
+    assert str(report) == (f"grad check pass: max rel err "
+                           f"{report.max_rel_err:.3e} at w[0, 0]")
 
 
 def test_grad_check_flags_corrupted_gradient():
@@ -265,6 +276,18 @@ def test_grad_check_flags_corrupted_gradient():
     assert not report.passed
     assert report.max_rel_err > 5e-3
     assert report.failing_param == "weight"
+    where = list(report.failing_index)
+    assert str(report) == (f"grad check FAIL: max rel err "
+                           f"{report.max_rel_err:.3e} at weight{where}")
+
+
+def test_grad_check_validates_gradients_and_parameters():
+    w = np.ones((2, 2))
+    with pytest.raises(ValueError, match="shape"):
+        grad_check(lambda: float(w.sum()), {"w": w}, {"w": np.ones(4)})
+    w[1, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        grad_check(lambda: 0.0, {"w": w}, {"w": np.ones((2, 2))})
 
 
 def test_grad_check_rejects_nondeterministic_loss():

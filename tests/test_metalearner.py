@@ -424,6 +424,38 @@ def test_train_mode_needs_two_rows_and_backward_needs_train_cache():
     assert not model.grads.any()
 
 
+def test_generator_entries_refuse_misshaped_inputs():
+    dims = small_dims()
+    params = init_params(dims, 5)
+    rng = np.random.default_rng(4)
+    ids = rng.normal(size=(3, dims.id_dim))
+    age = rng.normal(size=(3, dims.age_dim))
+    # identity features must be (B, F) with B >= 1
+    for bad in (ids[0], ids[:, :-1], np.zeros((0, dims.id_dim))):
+        with pytest.raises(ValueError, match="identity features|at least one"):
+            generate_weights_batch(params, bad, "eval")
+        with pytest.raises(ValueError, match="identity features|at least one"):
+            personal_scores(params, bad, age[:len(bad)], "eval")
+    with pytest.raises(ValueError, match="vector"):
+        generate_weights(params, ids)
+    # age features must match the identity rows, D wide
+    for bad in (age[:2], age[:, :-1], age[0]):
+        with pytest.raises(ValueError, match="age features"):
+            personal_scores(params, ids, bad, "train")
+    # backward gradients must have the forward's (B, K[, D]) shape
+    _, wcache = generate_weights_batch(params, ids, "train")
+    _, scache = personal_scores(params, ids, age, "train")
+    grads = (params.grad_w_common.copy(), params.hidden.grad_weight.copy())
+    with pytest.raises(ValueError, match="grad_weights shape"):
+        generate_weights_backward(
+            params, np.ones((3, dims.n_classes, dims.age_dim + 1)), wcache)
+    with pytest.raises(ValueError, match="grad_scores shape"):
+        personal_scores_backward(params, np.ones((2, dims.n_classes)), scache)
+    # refused before any gradient is accumulated
+    assert np.array_equal(params.grad_w_common, grads[0])
+    assert np.array_equal(params.hidden.grad_weight, grads[1])
+
+
 def test_checkpoint_round_trip(tmp_path):
     dims = small_dims()
     params = init_params(dims, 99)

@@ -112,6 +112,8 @@ def test_eps_error_hand_cases():
         eps_error([1.0], [1.0], [-2.0])
     with pytest.raises(ValueError):
         eps_error([1.0], [1.0], [np.nan])
+    with pytest.raises(ValueError, match="2 predictions, 1 sigmas"):
+        eps_error([1.0, 2.0], [1.0, 2.0], [1.0])
 
 
 def test_eps_error_monotone_in_sigma():
@@ -170,6 +172,19 @@ def test_retrieve_self_match_and_ties():
     tied = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     result = retrieve(np.zeros(2), tied)
     assert result.ranked_indices.tolist() == [0, 1, 2]
+
+
+def test_retrieve_ranks_tied_distances_by_index():
+    # 150 copies of one row and 120 of another, shuffled. numpy's default
+    # sort is not stable, but it insertion-sorts short runs, which keeps a
+    # few ties in order by chance; hundreds of ties do not stay in order
+    rng = np.random.default_rng(2)
+    rows = rng.normal(size=(2, 6))
+    which = rng.permutation(np.repeat([0, 1], [150, 120]))
+    result = retrieve(rows[0], rows[which])
+    near, far = np.flatnonzero(which == 0), np.flatnonzero(which == 1)
+    assert result.ranked_indices.tolist() == near.tolist() + far.tolist()
+    assert not result.distances[:150].any()
 
 
 def test_retrieve_rotation_invariance():
@@ -273,6 +288,26 @@ def test_slice_agreement():
     flags = np.arange(10) < 5  # nearest half flagged
     top, bottom = slice_agreement(result, flags, fraction=0.34)
     assert top == 1.0 and bottom == 0.0
+
+
+def test_slice_agreement_slices_floor_of_fraction():
+    # slices hold max(1, floor(fraction * n)) entries, n without the query:
+    # 39 of 399 at 0.1, where rounding would take 40
+    emb = np.arange(400, dtype=np.float64)[:, None]
+    result = retrieve(np.array([0.0]), emb, query_index=0)
+    flags = np.zeros(400, dtype=bool)
+    flags[40] = flags[360] = True  # the 40th nearest and 40th farthest
+    assert slice_agreement(result, flags, fraction=0.1) == (0.0, 0.0)
+    flags[39] = flags[361] = True  # the 39th of each
+    assert slice_agreement(result, flags, fraction=0.1) == (1 / 39, 1 / 39)
+    # a slice never falls below one entry
+    assert slice_agreement(result, np.arange(400) == 1, fraction=1e-9) == (1.0, 0.0)
+
+
+def test_slice_agreement_needs_more_than_the_query():
+    result = retrieve(np.array([0.0]), np.zeros((1, 1)), query_index=0)
+    with pytest.raises(ValueError, match="only the query"):
+        slice_agreement(result, [True])
 
 
 @pytest.mark.parametrize("n_flags", [9, 12])

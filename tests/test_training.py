@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from persage import metalearner, training
-from persage.data import Dataset, SynthConfig, split, synth_generate
+from persage.data import Dataset, SynthConfig, split, subset, synth_generate
 from persage.losses import batch_loss
 from persage.mathcore import (
     GRAD_CHECK_STEP,
@@ -252,6 +252,29 @@ def test_deep_copy_owns_its_own_store(duplicate):
 
 
 @pytest.mark.parametrize("kind, adapter", ALL_LAYOUTS)
+def test_model_entries_check_shapes(kind, adapter):
+    # every kind, with or without an adapter, takes (B, D) age features,
+    # (B, F) identity features and a (B, K) score gradient
+    model = init_model(quick_config(model_kind=kind, use_adapter=adapter))
+    ds = small_dataset()
+    age, ids = ds.age_feats[:4], ds.id_feats[:4]
+    for bad_age, bad_ids in ((age[0], ids[:1]), (age[:, :-1], ids), (age, ids[:3]),
+                             (age, ids[:, :-1]), (age, ids[0])):
+        with pytest.raises(ValueError, match="features must be"):
+            model_forward(model, bad_age, bad_ids, "train")
+        with pytest.raises(ValueError, match="features must be"):
+            model_predict(model, bad_age, bad_ids)
+    scores, cache = model_forward(model, age, ids, "train")
+    for bad in (scores[:3], scores[:, :-1], scores[0]):
+        with pytest.raises(ValueError, match="grad_scores must be"):
+            model_backward(model, bad, cache)
+    assert not model.grads.any()
+    other = next(k for k in MODEL_KINDS if k != kind)
+    with pytest.raises(ValueError, match="cache from kind"):
+        model_backward(init_model(quick_config(model_kind=other)), scores, cache)
+
+
+@pytest.mark.parametrize("kind, adapter", ALL_LAYOUTS)
 def test_zero_grad_clears_every_gradient(kind, adapter):
     model = init_model(quick_config(model_kind=kind, use_adapter=adapter))
     ds = small_dataset()
@@ -371,6 +394,8 @@ def test_train_smoke_all_kinds():
         preds = model_predict(model, ds.age_feats, ds.id_feats)
         assert preds.shape == (len(ds),)
         assert np.all((preds >= 0) & (preds <= ds.n_classes - 1))
+        # no rows, no predictions
+        assert model_predict(model, ds.age_feats[:0], ds.id_feats[:0]).shape == (0,)
 
 
 def test_train_loss_decreases():
@@ -388,6 +413,8 @@ def test_train_rejects_dim_mismatch():
         train(ds, quick_config(dims=small_dims(id_dim=3)))
     with pytest.raises(ValueError, match="classes"):
         train(ds, quick_config(dims=small_dims(n_classes=7)))
+    with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+        train(subset(ds, [0]), quick_config())
 
 
 def test_warm_start_validation():
@@ -870,6 +897,20 @@ def test_history_csv_format():
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "1"
     assert float(lines[2].split(",")[1]) == model.history[1][0]
+
+
+def test_history_train_mae_is_the_epochs_mean_error():
+    # with one batch holding every sample, an epoch's train MAE is the mean
+    # |expected age - label| under the fresh model's train-mode scores
+    ds = small_dataset()
+    config = quick_config(epochs=1, batch_size=len(ds))
+    model = train(ds, config)
+    scores, _ = model_forward(init_model(config), ds.age_feats, ds.id_feats, "train")
+    probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    want = np.abs(probs @ np.arange(ds.n_classes) - ds.labels).mean()
+    got = float(history_csv(model).splitlines()[1].split(",")[2])
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 # ----------------------------------------------------------------- checkpoints
