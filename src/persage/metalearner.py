@@ -37,7 +37,7 @@ mean P = 0, mean T = running mean and the running variance, which folds the
 running statistics into the two terms. The post-ReLU hidden rows and their
 gradient are the only (B, K, H) arrays, and eval mode never builds them
 whole: it runs the broadcast sum, ReLU and what consumes the rows over tiles
-of samples whose rows fit in ``_TILE_BYTES``, one core's cache share.
+of samples whose rows fit in ``TILE_BYTES``, one core's cache share.
 
 Scores need no weight matrix either: with hid[b, i] the hidden row and g_b
 the age features, score[b, i] = g_b . w_common[i] + hid[b, i] . (g_b W_out).
@@ -126,7 +126,7 @@ def _check_ids(params, id_feats):
 # here and metrics.retrieve's block of squared differences. 20 rows at the
 # acceptance size, which stay in one core's 2 MiB L2 through their add, ReLU
 # and matvec
-_TILE_BYTES = 2**20
+TILE_BYTES = 2**20
 
 
 def _hidden_tiles(params, id_feats, mode):
@@ -150,7 +150,7 @@ def _hidden_tiles(params, id_feats, mode):
     written into one buffer. Train mode makes the whole batch one tile, and
     its cache keeps that buffer, the centred terms and inv for the backward
     functions once the tile has been taken. Eval mode reuses a buffer of at
-    most ``_TILE_BYTES`` (or one sample's rows), so a tile must be consumed
+    most ``TILE_BYTES`` (or one sample's rows), so a tile must be consumed
     before the next is taken; its cache holds None for the rows and the
     terms, which the backward functions refuse.
     """
@@ -170,7 +170,7 @@ def _hidden_tiles(params, id_feats, mode):
         rows = b
     elif mode == "eval":
         mean_person, mean_table, var = 0.0, bn.running_mean, bn.running_var
-        rows = min(b, max(1, _TILE_BYTES // table.nbytes))
+        rows = min(b, max(1, TILE_BYTES // table.nbytes))
     else:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     inv = 1.0 / np.sqrt(var + BN_EPSILON)

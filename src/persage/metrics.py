@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import csv_text, json_text
-from .metalearner import _TILE_BYTES, generate_weights, generate_weights_batch
+from .metalearner import TILE_BYTES, generate_weights, generate_weights_batch
 
 
 def _pair(preds, labels):
@@ -133,11 +133,11 @@ def retrieve(query_embedding, gallery_embeddings, query_index=None):
     if gallery.shape[1] != query.shape[0]:
         raise ValueError(f"embedding dim mismatch: query {query.shape[0]}, "
                          f"gallery {gallery.shape[1]}")
-    # squared differences of _TILE_BYTES of rows at a time, in one reused
+    # squared differences of TILE_BYTES of rows at a time, in one reused
     # C-ordered buffer: np.linalg.norm's sqrt(add.reduce(x * x)) for real x,
     # without its temporaries, each row summed alone in the same order
     n = gallery.shape[0]
-    rows = min(max(1, _TILE_BYTES // (8 * query.shape[0])), n)
+    rows = min(max(1, TILE_BYTES // (8 * query.shape[0])), n)
     buf = np.empty((rows, query.shape[0]))
     distances = np.empty(n)
     for start in range(0, n, rows):

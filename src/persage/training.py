@@ -373,20 +373,23 @@ def init_params(dims, seed):
 
 # ----------------------------------------------------------- forward/backward
 
-def model_forward(model, age_feats, id_feats, mode):
-    """Class scores (B, K) plus the cache the backward pass needs.
-
-    Every kind takes (B, D) age features and (B, F) identity features.
-    """
-    d = model.dims
-    age_feats = np.asarray(age_feats, dtype=np.float64)
-    id_feats = np.asarray(id_feats, dtype=np.float64)
+def _check_features(d, age_feats, id_feats):
     if age_feats.ndim != 2 or age_feats.shape[1] != d.age_dim:
         raise ValueError(f"age features must be (B, {d.age_dim}), "
                          f"got {age_feats.shape}")
     if id_feats.shape != (age_feats.shape[0], d.id_dim):
         raise ValueError(f"identity features must be ({age_feats.shape[0]}, "
                          f"{d.id_dim}), got {id_feats.shape}")
+
+
+def model_forward(model, age_feats, id_feats, mode):
+    """Class scores (B, K) plus the cache the backward pass needs.
+
+    Every kind takes (B, D) age features and (B, F) identity features.
+    """
+    age_feats = np.asarray(age_feats, dtype=np.float64)
+    id_feats = np.asarray(id_feats, dtype=np.float64)
+    _check_features(model.dims, age_feats, id_feats)
     if model.adapter is not None:
         g = affine_forward(age_feats, model.adapter)
     else:
@@ -414,7 +417,7 @@ def model_backward(model, grad_scores, cache):
 
 # samples per eval-mode model_forward call; it bounds the (chunk, K + D + H)
 # rows a call holds (0.9 MB at the acceptance size), while metaage's hidden
-# rows come in tiles of metalearner._TILE_BYTES whatever the chunk
+# rows come in tiles of metalearner.TILE_BYTES whatever the chunk
 _PREDICT_CHUNK = 512
 
 
@@ -433,6 +436,7 @@ def model_predict(model, age_feats, id_feats):
                                   id_feats[start:stop], mode="eval")
         out.append(expected_ages(softmax(scores)))
     if not out:
+        _check_features(model.dims, age_feats, id_feats)
         return np.zeros(0)
     return np.concatenate(out)
 

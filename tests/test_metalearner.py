@@ -328,7 +328,7 @@ def test_factored_path_matches_explicit_rows(k, d, f, h, b, mode, monkeypatch):
     # sample, 7 (which splits the larger batches unevenly) and the whole batch
     for tile in (1, 7, b) if mode == "eval" else (None,):
         if tile is not None:
-            monkeypatch.setattr(metalearner, "_TILE_BYTES", tile * 8 * k * h)
+            monkeypatch.setattr(metalearner, "TILE_BYTES", tile * 8 * k * h)
         by_weights = _owned_copy(params)
         weights, wcache = generate_weights_batch(by_weights.meta, ids, mode)
         _assert_close(weights, ref_weights, f"weights, tile {tile}")

@@ -275,7 +275,7 @@ def test_weight_embeddings_match_per_sample_in_any_chunking(monkeypatch):
     ids = rng.normal(size=(23, 5))
     per = np.stack([weight_embedding(params, h) for h in ids])
     for tile in (1, 7, 23, 256):  # samples per tile of hidden rows
-        monkeypatch.setattr(metalearner, "_TILE_BYTES", tile * 8 * 4 * 8)
+        monkeypatch.setattr(metalearner, "TILE_BYTES", tile * 8 * 4 * 8)
         got = weight_embeddings(params, ids)
         assert got.shape == (23, 24)
         assert np.abs(got - per).max() <= 1e-12 * np.abs(per).max()

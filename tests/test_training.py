@@ -259,7 +259,8 @@ def test_model_entries_check_shapes(kind, adapter):
     ds = small_dataset()
     age, ids = ds.age_feats[:4], ds.id_feats[:4]
     for bad_age, bad_ids in ((age[0], ids[:1]), (age[:, :-1], ids), (age, ids[:3]),
-                             (age, ids[:, :-1]), (age, ids[0])):
+                             (age, ids[:, :-1]), (age, ids[0]),
+                             (age[:0, :-1], ids[:0]), (age[:0], ids[:0, :-1])):
         with pytest.raises(ValueError, match="features must be"):
             model_forward(model, bad_age, bad_ids, "train")
         with pytest.raises(ValueError, match="features must be"):
@@ -543,7 +544,7 @@ def test_eval_predictions_ignore_batch_makeup_and_chunk(monkeypatch):
     for kind in MODEL_KINDS:
         model = train(ds, quick_config(model_kind=kind, epochs=2))
         monkeypatch.setattr(training, "_PREDICT_CHUNK", n)
-        monkeypatch.setattr(metalearner, "_TILE_BYTES", n * row_bytes)
+        monkeypatch.setattr(metalearner, "TILE_BYTES", n * row_bytes)
         ref = model_predict(model, age, ids)
 
         def check(got, want, what):
@@ -551,7 +552,7 @@ def test_eval_predictions_ignore_batch_makeup_and_chunk(monkeypatch):
             assert err <= 1e-12, f"{kind}, {what}: max abs error {err:.3e}"
 
         for tile in (1, 7, n):
-            monkeypatch.setattr(metalearner, "_TILE_BYTES", tile * row_bytes)
+            monkeypatch.setattr(metalearner, "TILE_BYTES", tile * row_bytes)
             for chunk in (1, 7, 512):
                 monkeypatch.setattr(training, "_PREDICT_CHUNK", chunk)
                 check(model_predict(model, age, ids), ref,
@@ -567,7 +568,7 @@ def test_eval_predictions_ignore_batch_makeup_and_chunk(monkeypatch):
 
 def test_eval_memory_stays_within_a_chunk():
     # _PREDICT_CHUNK bounds the rows a model_forward call holds and
-    # metalearner._TILE_BYTES the generator's (tile, K, H) hidden rows: at
+    # metalearner.TILE_BYTES the generator's (tile, K, H) hidden rows: at
     # the acceptance size a 512-sample chunk of untiled hidden rows would
     # take 26 MB
     dims = Dims(n_classes=101, age_dim=64, id_dim=32, hidden_dim=64)
@@ -597,7 +598,7 @@ def test_eval_memory_stays_within_a_tile():
     rng = np.random.default_rng(5)
     age = rng.normal(size=(2000, d))
     ids = rng.normal(size=(2000, f))
-    tile = min(2000, metalearner._TILE_BYTES // (8 * k * h))
+    tile = min(2000, metalearner.TILE_BYTES // (8 * k * h))
     chunk = min(2000, training._PREDICT_CHUNK)
     bound = 8 * tile * k * h + 3 * 8 * chunk * (k + d + h)
     tracemalloc.start()

@@ -9,12 +9,11 @@ comprehension nested in it. Code that runs only in a subprocess, such as
 
 Run from the repository root:
 
-    python tools/linecov.py [PYTEST_ARGS...]
+    python tools/linecov.py
 
-The arguments go to pytest; without any, the tier-1 suite runs as
-``-q --continue-on-collection-errors``. It prints one
-``<unexecuted> <executable> <file>: <line numbers>`` row per file and a
-``total`` row, and exits with pytest's status.
+It runs the tier-1 suite as ``pytest -q --continue-on-collection-errors``,
+prints one ``<unexecuted> <executable> <file>: <line numbers>`` row per file
+and a ``total`` row, and exits with pytest's status.
 """
 
 import os
@@ -22,7 +21,6 @@ import sys
 import threading
 
 SRC = "src"
-DEFAULT_ARGS = ["-q", "--continue-on-collection-errors"]
 
 
 def executable_lines(path):
@@ -108,16 +106,16 @@ def print_report(rows, root, out=sys.stdout):
     print(f"{missed:6d} {executable:6d} total", file=out)
 
 
-def main(argv):
+def main():
     import pytest
 
     src = os.path.abspath(SRC)
     sys.path.insert(0, src)
     with LineTracer(src) as tracer:
-        status = pytest.main(argv or DEFAULT_ARGS)
+        status = pytest.main(["-q", "--continue-on-collection-errors"])
     print_report(report(src, tracer.executed), src)
     return int(status)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
